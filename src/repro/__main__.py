@@ -10,14 +10,13 @@ Commands::
                          profile)
     report <experiment>  run one experiment and print/write a Markdown
                          run report (top event kinds, stage latencies,
-                         fault timeline, causal blame, partition
-                         observatory); ``report --history`` renders
+                         fault timeline, causal blame);
+                         ``report --history`` renders
                          the cross-run perf trajectory instead
     analyze <experiment> run one experiment traced and emit the causal
                          analysis: per-request critical paths, the
                          per-layer blame table (Table-3-style
-                         decomposition from spans alone), and the
-                         partition observatory
+                         decomposition from spans alone)
     timeline <experiment> run one experiment with the metric timeline
                          sampler and emit the time-resolved view:
                          sparkline report, SLO monitors, incident log,
@@ -290,7 +289,7 @@ def main(argv=None) -> int:
                                "(-1 = all cores)")
     analyze_p = sub.add_parser(
         "analyze", help="run one experiment traced and emit the causal "
-                        "blame / partition-observatory analysis")
+                        "blame analysis")
     analyze_p.add_argument("experiment")
     analyze_p.add_argument("--fast", action="store_true")
     analyze_p.add_argument("--out", metavar="PATH",

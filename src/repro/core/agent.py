@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core.api import WaveNicApi
-from repro.core.channel import Placement, WaveChannel
+from repro.core.channel import WaveChannel
 from repro.core.messages import Message
 from repro.sim import Interrupt, Process
 
@@ -55,12 +55,7 @@ class WaveAgent:
             raise RuntimeError(f"agent {self.name} already running")
         self.killed = False
         self.kill_pending = False
-        # The agent's home timing domain for the partitioned kernel:
-        # offloaded agents poll and compute on the NIC SoC, on-host
-        # agents on the host socket (no-op under the serial kernel).
-        home = "nic" if self.channel.placement is Placement.NIC else "host"
-        with self.env.domain(home):
-            self._proc = self.env.process(self._run(), name=self.name)
+        self._proc = self.env.process(self._run(), name=self.name)
         return self._proc
 
     def kill(self, cause: str = "operator") -> None:

@@ -12,7 +12,7 @@ from typing import Tuple
 
 from repro.hw.dma import DmaEngine
 from repro.hw.params import HwParams
-from repro.hw.pcie import Interconnect
+from repro.hw.pcie import Interconnect, LookaheadViolation
 from repro.sim import Environment, Event
 
 
@@ -31,6 +31,16 @@ class SmartNic:
         #: Deliveries swallowed by fault injection (the sender still
         #: pays its send cost; only the handler-side event never fires).
         self.msix_lost = 0
+        #: Table 2's NIC -> host minimum: no MSI-X can reach a host
+        #: handler sooner (see :meth:`HwParams.domain_lookahead`).
+        self.min_msix_wire = params.domain_lookahead()[("nic", "host")]
+        if self.min_msix_wire <= 0:
+            # A non-positive minimum would let an interrupt land at or
+            # before the instant it was sent, and the check below
+            # would assert nothing.
+            raise ValueError(
+                f"Table 2 parameters give a nic -> host minimum of "
+                f"{self.min_msix_wire} ns; it must be positive")
 
     def compute_time(self, host_equivalent_ns: float) -> float:
         """Time for NIC ARM cores to do work that takes
@@ -77,10 +87,12 @@ class SmartNic:
             if carrier is not None:
                 carrier.ctx = tel.ctx_after(span)
             tel.count("msix_delivered", outcome="ok")
-        # The delivery crosses the NIC -> host boundary: route it through
-        # the lookahead-checked channel so the partitioned kernel can
-        # verify it respects the MSI-X minimum (wire >= send + e2e wire
-        # propagation >= the declared nic->host window, even stalled --
-        # stalls only inflate the propagation term).
-        delivery = self.env.cross_timeout("host", wire)
-        return send, delivery
+        # Causality check on the one NIC -> host send: the delivery must
+        # respect the Table 2 minimum (wire >= send + e2e wire
+        # propagation >= the nic->host minimum, even stalled -- stalls
+        # only inflate the propagation term).
+        if wire < self.min_msix_wire:
+            raise LookaheadViolation(
+                f"MSI-X delivery of {wire} ns beats the nic -> host "
+                f"minimum of {self.min_msix_wire} ns")
+        return send, self.env.timeout(wire)

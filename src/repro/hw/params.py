@@ -143,7 +143,7 @@ class HwParams:
     coherent: bool = False
 
     def domain_lookahead(self) -> dict:
-        """Minimum cross-domain latencies: the conservative-PDES windows.
+        """Minimum cross-domain latencies (ns) between timing domains.
 
         Maps ordered ``(src, dst)`` pairs over the three timing domains
         -- ``host`` (socket), ``ic`` (interconnect), ``nic`` (SoC) --
@@ -160,9 +160,11 @@ class HwParams:
         - ``ic -> host``: the MSI-X wire propagation (e2e minus send
           ioctl minus receive overhead), minus the nic->ic leg.
 
-        Used by :meth:`repro.hw.pcie.Interconnect.partition_plan`; any
-        window that comes out non-positive makes the plan unusable and
-        the kernel falls back to the serial path.
+        :class:`repro.hw.nic.SmartNic` checks every MSI-X delivery
+        against the ``nic -> host`` entry (raising
+        :class:`repro.hw.pcie.LookaheadViolation` below it, and refusing
+        parameters whose minimum is not positive): the machine-checked
+        form of forward-in-time causality on the link.
         """
         host_ic = self.mmio_write_uc
         ic_nic = min(self.mmio_write_visibility,

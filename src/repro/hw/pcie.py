@@ -13,6 +13,16 @@ from repro.hw.paths import (
 from repro.hw.pte import PteType
 
 
+class LookaheadViolation(RuntimeError):
+    """A NIC -> host delivery faster than the Table 2 minimum.
+
+    Raised by :meth:`repro.hw.nic.SmartNic.raise_msix`: the model
+    claimed an interrupt reached the host sooner than the hardware
+    minimum of :meth:`HwParams.domain_lookahead` allows -- a send
+    backwards in time relative to the PCIe timing model.
+    """
+
+
 class Interconnect:
     """Timing model for one PCIe (or UPI, section 7.3.3) link.
 
@@ -76,23 +86,6 @@ class Interconnect:
         its receive overhead."""
         return (self.params.msix_e2e - self.params.msix_send_ioctl
                 - self.params.msix_receive) * self._stall_factor()
-
-    def partition_plan(self):
-        """The conservative-PDES partition this link's minima justify.
-
-        Three domains -- ``host``, ``ic``, ``nic`` -- with lookahead
-        windows from :meth:`HwParams.domain_lookahead`. Fault-injected
-        stalls only *inflate* link latencies, so the unstalled minima
-        stay valid lower bounds. Feed this to
-        :meth:`~repro.sim.core.Environment.enable_partition`; an
-        unusable plan (any window <= 0) falls back to the serial kernel
-        there.
-        """
-        from repro.sim.partition import HOST, INTERCONNECT, NIC, PartitionPlan
-
-        return PartitionPlan(names=(HOST, INTERCONNECT, NIC),
-                             lookahead=self.params.domain_lookahead(),
-                             default=HOST)
 
     # -- path factories ---------------------------------------------------
 

@@ -10,28 +10,12 @@ from repro.sim import Environment
 
 
 class Machine:
-    """One server as deployed in the paper's testbed (section 7).
+    """One server as deployed in the paper's testbed (section 7)."""
 
-    Building a machine installs the partitioned parallel-DES engine on
-    ``env`` (host / interconnect / NIC domains with lookahead windows
-    from this deployment's Table 2 minima -- see
-    ``repro.sim.partition``) unless the environment already carries
-    scheduled events or an engine, ``use_partition=False`` is passed,
-    ``REPRO_NO_PARTITION`` is set, or the parameter set yields a
-    zero-lookahead plan; in every fallback case the serial single-queue
-    kernel runs, with byte-identical results.
-    """
-
-    def __init__(self, env: Environment, params: HwParams = None,
-                 use_partition: bool = None):
+    def __init__(self, env: Environment, params: HwParams = None):
         self.env = env
         self.params = params or HwParams.pcie()
         self.interconnect = Interconnect(self.params, env=env)
-        if env.partition is None and not (
-                env._queue or env._staged or (
-                    env._wheel is not None and env._wheel._count)):
-            env.enable_partition(self.interconnect.partition_plan(),
-                                 use_partition=use_partition)
         self.host = HostCpu(env, self.params)
         self.nic = SmartNic(env, self.params, self.interconnect)
 

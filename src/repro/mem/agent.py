@@ -150,10 +150,7 @@ class MemoryAgent:
         return total, dma_in, dma_out
 
     def start(self) -> None:
-        home = ("nic" if self.placement is MemAgentPlacement.NIC
-                else "host")
-        with self.env.domain(home):
-            self._proc = self.env.process(self._run(), name="mem-agent")
+        self._proc = self.env.process(self._run(), name="mem-agent")
 
     def _run(self):
         env = self.env

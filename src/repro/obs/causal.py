@@ -385,58 +385,6 @@ def critical_path_section(traces: List[RequestTrace],
     return out
 
 
-def partition_section(telemetry: Telemetry) -> List[str]:
-    """Markdown lines for the partition observatory (empty when no run
-    executed under the partitioned engine with telemetry on)."""
-    from repro.obs.report import md_table
-    sections: List[str] = []
-    for run in telemetry.runs:
-        obs = getattr(run, "partition", None)
-        if obs is None or not obs.total_events:
-            continue
-        total_busy = sum(obs.busy_ns.values())
-        lines = [f"### {run.label}", ""]
-        denom = total_busy or 1.0
-        lines.append(md_table(
-            ["domain", "busy ms", "share", "events", "windows"],
-            [[f"`{name}`", f"{obs.busy_ns[name] / 1e6:.3f}",
-              f"{100.0 * obs.busy_ns[name] / denom:.1f}%",
-              str(obs.events[name]), str(obs.windows[name])]
-             for name in obs.names]))
-        lines.append("")
-        if obs.stall_counts:
-            lines.append(md_table(
-                ["blocker -> blocked", "stalls", "fence-gap ms",
-                 "beyond-lookahead ms"],
-                [[f"`{src}` -> `{dst}`",
-                  str(obs.stall_counts[(src, dst)]),
-                  f"{obs.stall_ns.get((src, dst), 0.0) / 1e6:.3f}",
-                  f"{obs.stall_residual_ns.get((src, dst), 0.0) / 1e6:.3f}"]
-                 for src, dst in sorted(obs.stall_counts)]))
-            lines.append("")
-        if obs.traffic:
-            lines.append(md_table(
-                ["src -> dst", "cross-domain sends"],
-                [[f"`{src}` -> `{dst}`", str(obs.traffic[(src, dst)])]
-                 for src, dst in sorted(obs.traffic)]))
-            lines.append("")
-        lines.append(f"- achievable speedup bound (event critical "
-                     f"path): {obs.speedup_bound():.2f}x over "
-                     f"{obs.total_events} events")
-        lines.append(f"- busy-time bound (occupancy): "
-                     f"{obs.busy_bound():.2f}x")
-        sections.append("\n".join(lines))
-    if not sections:
-        return []
-    out = ["## Partition observatory", ""]
-    for section in sections:
-        out.extend(section.split("\n"))
-        out.append("")
-    if out[-1] == "":
-        out.pop()
-    return out
-
-
 def analyze_report(telemetry: Telemetry, title: str = "causal analysis",
                    percentile: float = 99.0) -> str:
     """The full ``python -m repro analyze`` Markdown report."""
@@ -459,15 +407,10 @@ def analyze_report(telemetry: Telemetry, title: str = "causal analysis",
     else:
         out.append("- no request-rooted spans recorded (tracing off, "
                    "or no causal roots reached)")
-    observatory = partition_section(telemetry)
-    if observatory:
-        out.append("")
-        out.extend(observatory)
     out.append("")
     return "\n".join(out)
 
 
 __all__ = ["LAYERS", "layer_of", "CausalGraph", "RequestTrace",
            "request_traces", "blame_table", "causal_section",
-           "critical_path_section", "partition_section",
-           "analyze_report"]
+           "critical_path_section", "analyze_report"]

@@ -113,15 +113,12 @@ def run_report(telemetry: Telemetry, title: str = "run report",
         out.extend(faults)
         out.append("")
 
-    # Causal/observatory/timeline sections (lazy import: they render
-    # with md_table from this module).
-    from repro.obs.causal import causal_section, partition_section
+    # Causal/timeline sections (lazy import: they render with md_table
+    # from this module).
+    from repro.obs.causal import causal_section
     causal = causal_section(telemetry)
     if causal:
         out.extend(causal)
-    observatory = partition_section(telemetry)
-    if observatory:
-        out.extend(observatory)
     from repro.obs.timeline import timeline_sections
     timelines = timeline_sections(telemetry)
     if timelines:

@@ -47,10 +47,6 @@ class RunShard:
     default_label: bool
     metrics: MetricsRegistry
     spans: SpanLog
-    #: The run's :class:`~repro.sim.partition.PartitionObservatory`
-    #: (plain counters, picklable), or None when the run used the
-    #: sequential engine or telemetry was off.
-    partition: Optional[object] = None
     #: The run's :class:`~repro.obs.timeline.RunTimeline` (series rings,
     #: sketches, incident log; the run back-reference drops on
     #: pickling), or None when the hub does not sample timelines.
@@ -78,7 +74,6 @@ def shard_from(hub: Telemetry) -> TelemetryShard:
     """Detach ``hub``'s collected telemetry into a picklable shard."""
     runs = [RunShard(label=run.label, default_label=run.default_label,
                      metrics=run.metrics, spans=run.spans,
-                     partition=getattr(run, "partition", None),
                      timeline=getattr(run, "timeline", None))
             for run in hub.runs]
     events = 0
@@ -106,7 +101,6 @@ def absorb_into(hub: Telemetry, shard: TelemetryShard,
             hub, run_index=len(hub.runs),
             label=rs.label, default_label=rs.default_label,
             metrics=rs.metrics, spans=rs.spans, worker=worker,
-            partition=getattr(rs, "partition", None),
             timeline=getattr(rs, "timeline", None))
         if rs.default_label:
             run.label = f"run{run.run_index}"

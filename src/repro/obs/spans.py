@@ -165,20 +165,15 @@ class RunTelemetry:
         #: the exact ids a serial sweep would.
         self._next_span = 0
         self._next_req = 0
-        #: :class:`repro.sim.partition.PartitionObservatory` when the
-        #: run executed under the partitioned engine with telemetry on;
-        #: carried through shards, never folded into the metrics
-        #: registry (the telemetry digest must not depend on which
-        #: engine ran).
-        self.partition = None
         #: :class:`repro.obs.timeline.RunTimeline` when the hub samples
-        #: timelines; carried through shards like ``partition``.
+        #: timelines; carried through shards, never folded into the
+        #: metrics registry.
         self.timeline = None
 
     @classmethod
     def restored(cls, hub: "Telemetry", run_index: int, label: str,
                  default_label: bool, metrics: MetricsRegistry,
-                 spans: SpanLog, worker=None, partition=None,
+                 spans: SpanLog, worker=None,
                  timeline=None) -> "RunTelemetry":
         """Rebuild a run from shard state (no environment: read-only)."""
         run = cls.__new__(cls)
@@ -193,7 +188,6 @@ class RunTelemetry:
         run.worker = worker
         run._next_span = 0
         run._next_req = 0
-        run.partition = partition
         run.timeline = timeline
         if timeline is not None:
             # Re-link the back-reference dropped on pickling so blame

@@ -15,16 +15,14 @@ metric into bounded ring-buffered :class:`Series`:
 - histograms sample as a per-interval count rate, and additionally feed
   per-:class:`SloSpec` sliding-window percentile sketches
   (:class:`WindowSketch`) whose windowed p99 drives the
-  :class:`SloMonitor`, and
-- the partition observatory's per-domain ``busy_ns`` samples as a busy
-  fraction per domain (present only under the partitioned engine).
+  :class:`SloMonitor`.
 
 Determinism rules (the contract tests pin):
 
 - Sampling happens **on the Environment clock**: a boundary ``b`` is
   crossed immediately before the first event with ``time >= b`` is
   dispatched, so a sample at ``b`` reflects exactly the events with
-  ``time < b`` -- the same set in any engine and at any ``--jobs``,
+  ``time < b`` -- the same set at any ``--jobs``,
   because shards carry their timelines back and merge in submission
   order.
 - The sampler is passive: it schedules no events, consumes no sequence
@@ -331,7 +329,6 @@ class RunTimeline:
         self._counter_last: Dict[str, float] = {}
         self._tw_last: Dict[str, float] = {}
         self._hist_last: Dict[str, Tuple[Dict[int, int], int]] = {}
-        self._busy_last: Dict[str, float] = {}
 
     # -- hot path ----------------------------------------------------------
 
@@ -419,14 +416,6 @@ class RunTimeline:
                 f"slo:{spec.name}:p{spec.percentile:g}w").push(
                 boundary, value)
             self.monitor.observe(spec, boundary, period, value)
-        part = getattr(run, "partition", None)
-        if part is not None:
-            for dom in part.names:
-                busy = part.busy_ns[dom]
-                last = self._busy_last.get(dom, 0.0)
-                self._busy_last[dom] = busy
-                self._series_for(f'part.busy{{domain="{dom}"}}').push(
-                    boundary, (busy - last) / period)
 
     # -- pickling ----------------------------------------------------------
 
@@ -591,10 +580,9 @@ MAX_REPORT_INCIDENTS = 20
 
 
 def _spark_rows(timeline: "RunTimeline") -> List[Tuple[str, str, str]]:
-    """(name, sparkline, range) rows; SLO and busy series lead."""
+    """(name, sparkline, range) rows; SLO series lead."""
     names = sorted(timeline.series)
-    names.sort(key=lambda n: (0 if n.startswith("slo:")
-                              else 1 if n.startswith("part.busy") else 2, n))
+    names.sort(key=lambda n: (0 if n.startswith("slo:") else 1, n))
     rows = []
     for name in names[:MAX_SPARK_SERIES]:
         series = timeline.series[name]

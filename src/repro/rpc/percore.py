@@ -82,9 +82,7 @@ class RpcSteeringAgent:
         self.steered += 1
 
     def start_response_collector(self) -> None:
-        with self.env.domain("nic"):  # NIC-side sweep loop
-            self._proc = self.env.process(self._collect(),
-                                          name="rpc-collect")
+        self._proc = self.env.process(self._collect(), name="rpc-collect")
 
     def _collect(self):
         """POLL_TXNS_OUTCOMES(): sweep the per-core response queues."""
@@ -129,9 +127,8 @@ class RpcWorker:
         self._proc = None
 
     def start(self) -> None:
-        with self.env.domain("host"):  # stub library on a host core
-            self._proc = self.env.process(
-                self._run(), name=f"rpc-worker-c{self.channel.core_id}")
+        self._proc = self.env.process(
+            self._run(), name=f"rpc-worker-c{self.channel.core_id}")
 
     def _run(self):
         env = self.env

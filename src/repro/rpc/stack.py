@@ -55,10 +55,8 @@ class RpcStack:
         self.busy_ns = 0.0
 
     def start(self) -> None:
-        home = ("nic" if self.placement is StackPlacement.NIC else "host")
-        with self.env.domain(home):
-            for i in range(self.n_processors):
-                self.env.process(self._processor(), name=f"{self.name}-{i}")
+        for i in range(self.n_processors):
+            self.env.process(self._processor(), name=f"{self.name}-{i}")
 
     # -- ingress / egress ---------------------------------------------------
 

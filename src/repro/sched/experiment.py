@@ -111,17 +111,10 @@ def run_sched_point(placement: Placement,
     if request_sink is not None:
         request_sink.extend(loadgen.requests)
     if counters is not None:
-        part = env.partition
         counters.update(events_scheduled=env.events_scheduled,
                         events_dispatched=env.events_dispatched,
                         events_logical=env._seq,
-                        timers_coalesced=env.timers_coalesced,
-                        partition_domains=(part.domain_count
-                                           if part is not None else 0),
-                        partition_switches=(part.domain_switches
-                                            if part is not None else 0),
-                        partition_cross_sends=(part.cross_sends
-                                               if part is not None else 0))
+                        timers_coalesced=env.timers_coalesced)
 
     window_s = (duration_ns - warmup_ns) / 1e9
     gets = LatencyStats("get")

@@ -66,17 +66,10 @@ def run_vm_point(active_vcpus: int, ticks: bool,
     env.run(until=env.now + measure_ns)
     total = sum(loop.finish() for loop in loops)
     if counters is not None:
-        part = env.partition
         counters.update(events_scheduled=env.events_scheduled,
                         events_dispatched=env.events_dispatched,
                         events_logical=env._seq,
-                        timers_coalesced=env.timers_coalesced,
-                        partition_domains=(part.domain_count
-                                           if part is not None else 0),
-                        partition_switches=(part.domain_switches
-                                            if part is not None else 0),
-                        partition_cross_sends=(part.cross_sends
-                                               if part is not None else 0))
+                        timers_coalesced=env.timers_coalesced)
     return VmPointResult(
         active_vcpus=active_vcpus,
         ticks=ticks,

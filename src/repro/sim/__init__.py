@@ -10,14 +10,13 @@ A small, deterministic, simpy-style engine written from scratch:
 - :class:`Store` is a FIFO channel for inter-process communication.
 - :class:`FaultInjector` / :class:`FaultPlan` provoke deterministic
   failures at instrumented protocol edges (chaos testing).
-- :class:`PartitionPlan` / ``Environment.enable_partition`` swap in the
-  partitioned conservative-PDES engine (per-domain queues synchronized
-  by hardware-derived lookahead windows -- see ``repro.sim.partition``).
 
-Determinism: events scheduled for the same timestamp are processed in
+One dispatch loop: a binary heap fed by a hierarchical timer wheel for
+far-future timers (``REPRO_NO_TIMER_WHEEL=1`` keeps every timer in the
+heap). Events scheduled for the same timestamp are processed in
 (priority, insertion-order), so a seeded simulation replays identically
--- under every engine (serial heap, timer wheel, partitioned), which
-the cross-engine conformance suite in ``tests/conformance/`` pins.
+-- with the wheel on or off, which the conformance suite in
+``tests/conformance/`` pins.
 """
 
 from repro.sim.events import (
@@ -32,8 +31,6 @@ from repro.sim.events import (
 )
 from repro.sim.process import Process, Interrupt
 from repro.sim.core import Environment, StopSimulation
-from repro.sim.partition import (LookaheadViolation, PartitionEngine,
-                                 PartitionPlan)
 from repro.sim.resources import Store, Resource
 from repro.sim.monitor import LatencyStats, TimeWeightedValue, Counter
 from repro.sim.trace import Tracer, TraceEvent
@@ -62,7 +59,4 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultRecord",
-    "PartitionPlan",
-    "PartitionEngine",
-    "LookaheadViolation",
 ]

@@ -28,12 +28,6 @@ _POOL_MAX = 256
 #: the wheel-vs-heap property tests drive it per-instance instead.
 _NO_WHEEL_ENV = "REPRO_NO_TIMER_WHEEL"
 
-#: Environment variable disabling the partitioned kernel: with it set,
-#: :meth:`Environment.enable_partition` is a no-op and every run takes
-#: the serial single-queue path. Differential-testing escape hatch,
-#: mirroring REPRO_NO_TIMER_WHEEL.
-_NO_PARTITION_ENV = "REPRO_NO_PARTITION"
-
 _INF = float("inf")
 
 
@@ -114,23 +108,19 @@ class Environment:
     whatever the queueing strategy), :attr:`timers_coalesced` counts
     :class:`~repro.sim.events.PollTimer` in-place re-arms.
 
-    Engine contract: the queueing machinery behind this class is
-    *pluggable*. :meth:`enable_partition` swaps in the partitioned
-    engine from :mod:`repro.sim.partition` (per-domain heap + wheel,
-    conservative lookahead windows); every engine must preserve the
-    observable kernel semantics -- exact ``(time, priority, seq)``
-    dispatch order, the :attr:`_seq` stream, and
-    :attr:`events_dispatched` -- which the cross-engine conformance
-    suite (``tests/conformance/``) pins. Per-engine *admission* counters
-    (:attr:`events_scheduled`, :attr:`timers_coalesced`, wheel
-    diagnostics) may legitimately differ between engines.
+    Ordering contract: dispatch follows exact ``(time, priority, seq)``
+    order whatever the queueing strategy (heap only, or heap + wheel);
+    the conformance suite (``tests/conformance/``) pins the dispatch
+    log, the :attr:`_seq` stream and :attr:`events_dispatched` across
+    both. Admission counters (:attr:`events_scheduled`,
+    :attr:`timers_coalesced`, wheel diagnostics) may legitimately
+    differ between them.
     """
 
     __slots__ = ("_now", "_queue", "_seq", "_active_process", "faults",
                  "telemetry", "_timeline", "_timeout_pool", "_profile_hook",
-                 "_wheel", "_staged", "_partition", "events_scheduled",
-                 "events_dispatched", "timers_coalesced",
-                 "cancelled_purged", "_cancel_backlog")
+                 "_wheel", "_staged", "events_scheduled",
+                 "events_dispatched", "timers_coalesced")
 
     def __init__(self, initial_time: float = 0,
                  use_wheel: Optional[bool] = None):
@@ -147,20 +137,9 @@ class Environment:
         #: heap (or dispatched inline) between callbacks. None outside
         #: the dispatch loop.
         self._staged: Optional[List[Tuple[float, int, int, Event]]] = None
-        #: Installed :class:`repro.sim.partition.PartitionEngine`, or
-        #: None for the serial single-queue kernel (the default).
-        self._partition = None
         self.events_scheduled = 0
         self.events_dispatched = 0
         self.timers_coalesced = 0
-        #: Cancelled wheel entries bulk-dropped by the partition
-        #: engine's window-close purge (serial kernel: stays 0 -- it
-        #: only ever drops dead entries at bucket promotion).
-        self.cancelled_purged = 0
-        #: Cancels since the last purge accounting; cheap running
-        #: counter incremented by :meth:`Event.cancel` so the purge can
-        #: trigger on backlog size without scanning anything.
-        self._cancel_backlog = 0
         #: Optional per-step observer installed by
         #: :class:`repro.obs.profile.LoopProfiler`; when set, :meth:`run`
         #: takes the stepped (profiled) path instead of the inline loop.
@@ -179,7 +158,7 @@ class Environment:
         #: carries a timeline config. The dispatch loops compare the
         #: next event time against its ``_next_ns`` boundary *before*
         #: advancing the clock, so samples reflect exactly the events
-        #: strictly before each boundary (engine- and jobs-independent).
+        #: strictly before each boundary (independent of ``--jobs``).
         #: ``None`` costs one comparison per dispatched event.
         self._timeline = None
         for reset in _run_id_resets:
@@ -189,19 +168,7 @@ class Environment:
 
     @property
     def now(self) -> float:
-        """Current simulated time (ns).
-
-        During a *concurrent* batched round of the partitioned engine
-        (free-threaded window executor) each window carries its own
-        clock; reads from inside a window resolve to its domain's time
-        via the engine's thread-local. Everywhere else this is the
-        plain scalar clock.
-        """
-        part = self._partition
-        if part is not None and part._concurrent_live:
-            ctx = getattr(part._tls, "ctx", None)
-            if ctx is not None:
-                return ctx.domain._now
+        """Current simulated time (ns)."""
         return self._now
 
     @property
@@ -222,43 +189,6 @@ class Environment:
         ``env.timeout()`` dominates allocation in every experiment, so
         the returned object is owned by the kernel once it has fired.
         """
-        part = self._partition
-        if part is not None:
-            if part._concurrent_live:
-                return part.timeout(delay, value)
-            pool = self._timeout_pool
-            if pool:
-                if delay < 0:
-                    raise ValueError(f"negative delay {delay}")
-                timer = pool.pop()
-                timer.delay = delay
-                timer.callbacks = []
-                timer._value = value
-                timer._ok = True
-                timer._defused = False
-                timer._cancelled = False
-                timer._cross = False
-                self._seq += 1
-                domain = part.current
-                if part._running and domain is part._run_domain:
-                    # Inline of Partition._insert's running-domain
-                    # cases (wheel file or staged append, no
-                    # bound/fence updates apply): dodges two call hops
-                    # on the hottest allocation site in every
-                    # experiment, which is most of the partitioned
-                    # kernel's per-event overhead vs this serial path.
-                    wheel = domain.wheel
-                    if wheel is not None and delay >= MIN_WHEEL_DELAY:
-                        wheel.insert(self._now + delay, NORMAL, self._seq,
-                                     timer, delay >= MIN_COARSE_DELAY)
-                    else:
-                        domain.staged.append(
-                            (self._now + delay, NORMAL, self._seq, timer))
-                else:
-                    part._insert(domain, self._now + delay, NORMAL,
-                                 self._seq, timer, delay)
-                return timer
-            return Timeout(self, delay, value)
         pool = self._timeout_pool
         if pool:
             if delay < 0:
@@ -272,7 +202,6 @@ class Environment:
             timer._ok = True
             timer._defused = False
             timer._cancelled = False
-            timer._cross = False
             self._seq += 1
             wheel = self._wheel
             if wheel is not None and delay >= MIN_WHEEL_DELAY:
@@ -304,26 +233,6 @@ class Environment:
     # -- scheduling --------------------------------------------------------
 
     def _schedule(self, event: Event, priority: int, delay: float = 0) -> None:
-        part = self._partition
-        if part is not None:
-            if part._concurrent_live:
-                part.schedule(event, priority, delay)
-                return
-            self._seq += 1
-            domain = part.current
-            if part._running and domain is part._run_domain:
-                # Same running-domain inline as timeout() above.
-                wheel = domain.wheel
-                if wheel is not None and delay >= MIN_WHEEL_DELAY:
-                    wheel.insert(self._now + delay, priority, self._seq,
-                                 event, delay >= MIN_COARSE_DELAY)
-                else:
-                    domain.staged.append(
-                        (self._now + delay, priority, self._seq, event))
-                return
-            part._insert(domain, self._now + delay, priority, self._seq,
-                         event, delay)
-            return
         self._seq += 1
         wheel = self._wheel
         if wheel is not None and delay >= MIN_WHEEL_DELAY:
@@ -404,9 +313,6 @@ class Environment:
         idle queue of dead timers can never make the horizon look busy.
         Considers the timer wheel too (without promoting anything).
         """
-        part = self._partition
-        if part is not None:
-            return part.peek()
         if self._staged:
             self._flush_staged()
         queue = self._queue
@@ -448,10 +354,6 @@ class Environment:
 
     def step(self) -> None:
         """Process exactly one live event (skipping cancelled entries)."""
-        part = self._partition
-        if part is not None:
-            part.step()
-            return
         queue = self._queue
         wheel = self._wheel
         while True:
@@ -487,10 +389,6 @@ class Environment:
             # `until` is an already-succeeded event: nothing to run.
             return until._value
         stop_at = resolved
-
-        part = self._partition
-        if part is not None:
-            return part.run(until, stop_at)
 
         if self._profile_hook is not None:
             # Profiled path: per-event bookkeeping lives in step().
@@ -623,7 +521,7 @@ class Environment:
         return self._finish_run(until, stop_at)
 
     def _resolve_until(self, until: Any) -> Optional[float]:
-        """Turn ``run``'s ``until`` into a stop time (shared by engines).
+        """Turn ``run``'s ``until`` into a stop time.
 
         Returns the stop time, arming the stop callback when ``until``
         is a pending event -- or None when ``until`` is an event that
@@ -674,88 +572,10 @@ class Environment:
             raise StopSimulation(event.value)
         raise type(event.value)(*event.value.args) from event.value
 
-    # -- partitioned engine (repro.sim.partition) --------------------------
-
     @property
     def partition(self):
-        """The installed partition engine, or None (serial kernel)."""
-        return self._partition
+        """Always None: the serial heap/wheel loop is the only engine.
 
-    def enable_partition(self, plan, use_partition: Optional[bool] = None):
-        """Install the partitioned parallel-DES engine for this env.
-
-        ``plan`` is a :class:`repro.sim.partition.PartitionPlan` naming
-        the domains and the per-pair lookahead windows (minimum
-        cross-domain latencies, ns). Returns the installed engine, or
-        None when the kernel falls back to the serial path because:
-
-        - ``use_partition`` is False (explicit opt-out), or
-        - ``REPRO_NO_PARTITION`` is set in the environment, or
-        - the plan is missing / has fewer than two domains, or
-        - any lookahead window is zero or negative -- a conservative
-          engine with no lookahead cannot outrun the serial kernel, so
-          it refuses to install rather than run degenerate.
-
-        Must be called before any event is scheduled (fresh env only);
-        already-scheduled entries would be stranded in the serial queue.
+        Kept read-only for tools that probed for a partitioned engine.
         """
-        from repro.sim.partition import PartitionEngine
-
-        if use_partition is None:
-            use_partition = not os.environ.get(_NO_PARTITION_ENV)
-        if not use_partition or plan is None or not plan.usable():
-            return None
-        if self._partition is not None:
-            raise RuntimeError("partition engine already installed")
-        if self._queue or self._staged or (
-                self._wheel is not None and self._wheel._count):
-            raise RuntimeError(
-                "enable_partition() requires a fresh environment "
-                "(events already scheduled)")
-        self._partition = PartitionEngine(self, plan)
-        return self._partition
-
-    def domain(self, name: str):
-        """Context manager routing schedules to domain ``name``.
-
-        Serial kernel: a no-op context (so model code can tag domains
-        unconditionally). Partitioned: events scheduled -- and processes
-        created -- inside the block belong to ``name``.
-        """
-        part = self._partition
-        if part is None:
-            return _NULL_DOMAIN
-        return part.domain_context(name)
-
-    def cross_timeout(self, dst: str, delay: float,
-                      value: Any = None) -> Timeout:
-        """A timer that fires in domain ``dst``, ``delay`` ns from now.
-
-        The lookahead-checked cross-domain channel: under the
-        partitioned engine a send from domain *s* to a different domain
-        *d* must respect the declared minimum latency
-        (``delay >= lookahead[s -> d]``) or
-        :class:`repro.sim.partition.LookaheadViolation` is raised --
-        the machine-checked form of the forward-in-time causality the
-        conservative kernel depends on. Serial kernel: identical to
-        :meth:`timeout`.
-        """
-        part = self._partition
-        if part is None:
-            return self.timeout(delay, value)
-        return part.cross_timeout(dst, delay, value)
-
-
-class _NullDomainContext:
-    """``env.domain(...)`` under the serial kernel: does nothing."""
-
-    __slots__ = ()
-
-    def __enter__(self):
         return None
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_DOMAIN = _NullDomainContext()

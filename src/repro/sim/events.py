@@ -33,7 +33,7 @@ class Event:
     """
 
     __slots__ = ("env", "callbacks", "_value", "_ok", "_defused",
-                 "_cancelled", "_cross")
+                 "_cancelled")
 
     def __init__(self, env: "Environment"):  # noqa: F821
         self.env = env
@@ -42,12 +42,6 @@ class Event:
         self._ok: Optional[bool] = None
         self._defused = False
         self._cancelled = False
-        #: True for events that carry state across timing domains
-        #: (cross-domain sends, shared-resource grants). The batched
-        #: partition engine must not drain such an event inside a
-        #: private window -- it closes the window and dispatches the
-        #: event at the global minimum instead (the commit rule).
-        self._cross = False
 
     @property
     def triggered(self) -> bool:
@@ -92,11 +86,6 @@ class Event:
                 f"cannot cancel {self!r}: it has waiting callbacks")
         self._cancelled = True
         self.callbacks = None
-        # The queue entry (heap or wheel) dies lazily; the backlog
-        # counter lets the partition engine decide when a bulk purge of
-        # dead wheel timers is worth a scan (satellite: window-close
-        # purge instead of waiting for bucket promotion).
-        self.env._cancel_backlog += 1
         return True
 
     def succeed(self, value: Any = None) -> "Event":
@@ -167,7 +156,6 @@ class Timeout(Event):
         self._ok = True
         self._defused = False
         self._cancelled = False
-        self._cross = False
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay}>"

@@ -145,8 +145,7 @@ class _PlanState:
     and the plan's position+kind via :func:`repro.sim.rngs.derive_seed`)
     so a probabilistic plan's draw sequence depends only on *its own*
     matching events -- never on how other plans' events interleave with
-    them, and never on the cross-domain dispatch order of the
-    window-batched partition engine.
+    them.
     """
 
     __slots__ = ("plan", "rng", "seen", "fires")
@@ -169,9 +168,7 @@ class FaultInjector:
     (seeded via :func:`repro.sim.rngs.derive_seed` from ``(seed, plan
     index, kind)``), so two runs with the same ``(seed, plans)`` are
     byte-identical *and* one plan's draw sequence is independent of
-    every other plan's event interleaving -- the property the
-    window-batched partition engine needs, since it may dispatch
-    independent domains' events out of global timestamp order.
+    every other plan's event interleaving.
     """
 
     def __init__(self, env, seed: int = 0,

@@ -77,7 +77,7 @@ class Process(Event):
     exception that escaped it).
     """
 
-    __slots__ = ("_generator", "_target", "name", "domain")
+    __slots__ = ("_generator", "_target", "name")
 
     def __init__(self, env, generator: Generator, name: str = ""):  # noqa: F821
         if not hasattr(generator, "throw"):
@@ -85,19 +85,6 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        #: Home domain under the partitioned engine (the domain current
-        #: at creation -- see ``env.domain(...)``); None on the serial
-        #: kernel. Every resume runs with the ambient scheduling target
-        #: pinned here, so a process's timers stay in its own domain
-        #: even when a cross-domain event wakes it.
-        part = env._partition
-        if part is None:
-            self.domain = None
-        elif part._concurrent_live:
-            ctx = getattr(part._tls, "ctx", None)
-            self.domain = ctx.current if ctx is not None else part.current
-        else:
-            self.domain = part.current
         self._target: Optional[Event] = _Initialize(env, self)
 
     @property
@@ -110,32 +97,7 @@ class Process(Event):
         _Interruption(self, cause)
 
     def _resume(self, event: Event) -> None:
-        env = self.env
-        part = env._partition
-        if part is None:
-            self._resume_inner(env, event)
-            return
-        # Partitioned engine: pin ambient scheduling to the process's
-        # home domain for the duration of the resume, whatever domain's
-        # event woke it, then restore the dispatcher's routing target.
-        # Inside a concurrent window the routing target is the window's
-        # thread-local ctx, never the shared engine slot.
-        if part._concurrent_live:
-            ctx = getattr(part._tls, "ctx", None)
-            if ctx is not None:
-                prev = ctx.current
-                ctx.current = self.domain
-                try:
-                    self._resume_inner(env, event)
-                finally:
-                    ctx.current = prev
-                return
-        prev = part.current
-        part.current = self.domain
-        try:
-            self._resume_inner(env, event)
-        finally:
-            part.current = prev
+        self._resume_inner(self.env, event)
 
     def _resume_inner(self, env, event: Event) -> None:
         env._active_process = self

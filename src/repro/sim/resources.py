@@ -1,16 +1,4 @@
-"""Inter-process communication and mutual exclusion primitives.
-
-Partitioned-engine note: a :class:`Store`/:class:`Resource` is plain
-shared Python state. Its *results* are computed at call time (``get``
-pops the item the moment it is called), so a store touched from two
-timing domains is ordering-sensitive in a way the window-batched
-engine cannot preserve event-by-event. Each primitive therefore tracks
-the domain that first touched it; the first touch from a *different*
-domain sticky-degrades the run to the exact-order merge (the
-shared-resource-wait arm of the commit rule -- see
-``repro.sim.partition``). Single-domain stores, the common
-producer/consumer case, batch freely.
-"""
+"""Inter-process communication and mutual exclusion primitives."""
 
 from __future__ import annotations
 
@@ -20,25 +8,7 @@ from typing import Any, Deque
 from repro.sim.events import Event
 
 
-class _SharedGuard:
-    """Owner-domain tracking shared by Store and Resource."""
-
-    def __init__(self, env):
-        self.env = env
-        self._domain = None
-
-    def _guard(self) -> None:
-        part = self.env._partition
-        if part is None or not part.batching:
-            return
-        owner = part._ambient()
-        if self._domain is None:
-            self._domain = owner
-        elif owner is not self._domain:
-            part._shared_state_touch()
-
-
-class Store(_SharedGuard):
+class Store:
     """An unbounded (or bounded) FIFO channel between processes.
 
     ``put`` returns an event that succeeds once the item is stored;
@@ -49,7 +19,7 @@ class Store(_SharedGuard):
     def __init__(self, env, capacity: float = float("inf")):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        super().__init__(env)
+        self.env = env
         self.capacity = capacity
         self.items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
@@ -60,7 +30,6 @@ class Store(_SharedGuard):
 
     def put(self, item: Any) -> Event:
         """Store ``item``; blocks (pending event) if at capacity."""
-        self._guard()
         event = Event(self.env)
         if len(self.items) < self.capacity:
             self._deposit(item)
@@ -71,7 +40,6 @@ class Store(_SharedGuard):
 
     def get(self) -> Event:
         """Retrieve the oldest item, waiting if the store is empty."""
-        self._guard()
         event = Event(self.env)
         if self.items:
             event.succeed(self.items.popleft())
@@ -98,13 +66,13 @@ class Store(_SharedGuard):
             putter.succeed()
 
 
-class Resource(_SharedGuard):
+class Resource:
     """A counted resource (semaphore) with FIFO granting."""
 
     def __init__(self, env, capacity: int = 1):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        super().__init__(env)
+        self.env = env
         self.capacity = capacity
         self.in_use = 0
         self._waiters: Deque[Event] = deque()
@@ -116,7 +84,6 @@ class Resource(_SharedGuard):
 
     def acquire(self) -> Event:
         """Request one unit; the event succeeds when granted."""
-        self._guard()
         event = Event(self.env)
         if self.in_use < self.capacity:
             self.in_use += 1
@@ -127,7 +94,6 @@ class Resource(_SharedGuard):
 
     def release(self) -> None:
         """Return one unit, waking the oldest waiter if any."""
-        self._guard()
         if self.in_use <= 0:
             raise RuntimeError("release() without matching acquire()")
         while self._waiters:

@@ -1,13 +1,13 @@
-"""Named RNG stream derivation for domain-partitioned determinism.
+"""Named RNG stream derivation: one independent stream per component.
 
-The window-batched partition engine (``repro.sim.partition``) dispatches
-provably-independent events out of global timestamp order.  Any two
-model components that *share* one ``random.Random`` therefore see their
-draw interleaving change with the engine — the classic PDES
-repeatability bug.  The fix is structural: every component draws from
+Two model components that *share* one ``random.Random`` see their draw
+sequences couple: adding, removing or reordering one component's draws
+shifts every later draw of the other -- the classic simulation
+repeatability bug. The fix is structural: every component draws from
 its **own named stream**, derived deterministically from the run's root
 seed, so the sequence each component observes is a pure function of
-``(root_seed, stream name)`` and never of cross-domain dispatch order.
+``(root_seed, stream name)`` and never of how other components' events
+interleave with its own.
 
 Derivation is a keyed hash (BLAKE2b) of the slash-joined name path, so
 
@@ -21,15 +21,14 @@ The experiment runners that predate this module already keep one
 ``random.Random`` per purpose (kernel costs / service-time model /
 load generator at ``seed``, ``seed+1``, ``seed+2``); those literal
 seeds are pinned by the golden digest and stay as they are.  New code
-— and any component whose draws can happen in more than one timing
-domain (the fault injector was the one offender) — goes through
+— and any component whose draws are triggered by events of several
+other components (the fault injector was the one offender) — goes through
 :class:`RngStreams` instead.
 
 Conformance: ``tests/conformance/test_rng_streams.py`` replays
 generated programs whose dispatch log records every draw's
-``(stream name, value)`` across the serial, exact-merge,
-window-batched, and threaded engines and asserts the per-stream
-sequences are identical.
+``(stream name, value)`` with the timer wheel on and off and asserts
+the per-stream sequences are identical.
 """
 
 from __future__ import annotations
@@ -77,8 +76,8 @@ class RngStreams:
     threading Random objects through every constructor.
 
     The draw *order within one stream* is whatever the owning
-    component does with it; the batched-engine contract is only that a
-    stream is owned by (drawn from) a single timing domain.
+    component does with it; the contract is only that a stream is
+    owned by (drawn from) a single component.
     """
 
     __slots__ = ("root_seed", "_prefix", "_streams")

@@ -135,8 +135,7 @@ class TimerWheel:
         """Move the earliest bucket's entries one level down.
 
         Fine entries go into ``queue`` -- the heap this wheel feeds
-        (``env._queue`` for the serial kernel, the owning domain's queue
-        under ``repro.sim.partition``); cancelled ones are dropped and
+        (``env._queue``); cancelled ones are dropped and
         recycled, and re-armed :class:`RearmableTimer` entries are
         re-keyed at their current deadline. Coarse entries cascade into
         fine buckets keyed by their own deadline, so a long-lived timer
@@ -205,44 +204,6 @@ class TimerWheel:
                     fine_bucket.append(entry)
                 self._count += 1
             self.next_start()
-
-    def purge_cancelled(self, env) -> int:
-        """Bulk-drop every cancelled entry parked in any bucket.
-
-        Promotion already drops dead entries bucket-by-bucket as buckets
-        come due, but a cancelled far timer otherwise sits in its bucket
-        until then -- and the batched partition engine would re-scan it
-        at every window close when sizing windows. Called by the engine
-        once the cancel backlog crosses a threshold; empty buckets are
-        deleted (their index-heap entries die lazily in :meth:`_head`,
-        same as after promotion). Returns the number dropped.
-        """
-        dropped = 0
-        for buckets in (self._fine, self._coarse):
-            dead = None
-            for idx, bucket in buckets.items():
-                live = [e for e in bucket if not e[3]._cancelled]
-                removed = len(bucket) - len(live)
-                if not removed:
-                    continue
-                dropped += removed
-                for entry in bucket:
-                    if entry[3]._cancelled:
-                        env._recycle(entry[3])
-                if live:
-                    buckets[idx] = live
-                else:
-                    if dead is None:
-                        dead = []
-                    dead.append(idx)
-            if dead:
-                for idx in dead:
-                    del buckets[idx]
-        if dropped:
-            self._count -= dropped
-            self.dropped_cancelled += dropped
-            self.next_start()
-        return dropped
 
     def earliest_deadline(self) -> float:
         """Earliest *live* deadline filed anywhere in the wheel (+inf if

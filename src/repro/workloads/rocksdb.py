@@ -70,8 +70,8 @@ class RocksDbModel:
 
     ``rng`` may be any ``random.Random`` -- including a named stream
     from :class:`repro.sim.rngs.RngStreams`, which keeps this model's
-    draw sequence independent of every other component's regardless of
-    how the window-batched partition engine interleaves domains.
+    draw sequence independent of every other component's, however
+    their events interleave.
     """
 
     def __init__(self, range_fraction: float = 0.0,

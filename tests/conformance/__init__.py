@@ -1,19 +1,19 @@
-"""Cross-engine kernel conformance suite.
+"""Kernel conformance suite.
 
-The simulation kernel ships several interchangeable engines -- plain
-heap, heap + timer wheel, and the partitioned parallel-DES engine
-(``repro.sim.partition``), each with escape-hatch env-var variants.
-Every engine must produce *identical observable behaviour*: the same
-``(time, priority, seq)`` dispatch order, the same timestamps and
-values, the same ``_seq`` stream and ``events_dispatched`` count.
-(Admission counters -- ``events_scheduled``, ``timers_coalesced``,
-wheel diagnostics -- are queue-mechanism-dependent and excluded.)
+The simulation kernel has one dispatch loop with interchangeable
+queueing: plain heap, or heap + timer wheel, plus the escape-hatch
+env-var variants. Every configuration must produce *identical
+observable behaviour*: the same ``(time, priority, seq)`` dispatch
+order, the same timestamps and values, the same ``_seq`` stream and
+``events_dispatched`` count. (Admission counters -- ``events_scheduled``,
+``timers_coalesced``, wheel diagnostics -- are queue-mechanism-dependent
+and excluded.)
 
-``engines.py`` enumerates the engine configurations;
+``engines.py`` enumerates the configurations;
 ``test_kernel_conformance.py`` drives a hypothesis-generated program
-(schedule / cancel / poll re-arm / same-turn cascades / interrupts /
-cross-domain sends) through every configuration and asserts the logs
-are equal; ``test_cross_domain_rearm.py`` pins the staged-dispatch +
-re-arm interleavings across domain boundaries (the stale-seq bug class
-PR 5's review exposed, now with multiple queues in play).
+(schedule / cancel / poll re-arm / same-turn cascades / interrupts)
+through every configuration and asserts the logs are equal;
+``test_cross_domain_rearm.py`` pins the staged-dispatch + re-arm
+interleavings between processes (the stale-seq bug class);
+``test_rng_streams.py`` pins per-stream RNG draw order.
 """

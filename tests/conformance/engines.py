@@ -1,26 +1,13 @@
-"""The engine-configuration registry the conformance suite runs over.
+"""The kernel-configuration registry the conformance suite runs over.
 
 Each :class:`EngineConfig` builds a fresh :class:`Environment` wired to
-one kernel engine variant. ``domains`` is the name tuple conformance
-programs may tag events with (``env.domain`` is a no-op on serial
-engines, so serial configs accept any tag).
+one queueing variant of the single dispatch loop.
 """
 
 import os
 from contextlib import contextmanager
 
-from repro.hw.params import HwParams
-from repro.hw.pcie import Interconnect
-from repro.sim import Environment, PartitionPlan
-
-#: Domain names every conformance program may use. Partitioned configs
-#: with fewer domains map extra names onto their own (see `resolve`).
-DOMAINS = ("host", "ic", "nic")
-
-#: Smallest cross-domain delay a conformance program may use for
-#: `cross_timeout`: must clear every config's largest lookahead window
-#: (the hw-derived pcie plan peaks at 910 ns for nic->host).
-MIN_CROSS_DELAY = 1000.0
+from repro.sim import Environment
 
 
 @contextmanager
@@ -37,24 +24,14 @@ def _env_var(name, value="1"):
 
 
 class EngineConfig:
-    """One buildable kernel-engine variant."""
+    """One buildable kernel configuration."""
 
-    def __init__(self, name, build, domains=DOMAINS, partitioned=False):
+    def __init__(self, name, build):
         self.name = name
         self._build = build
-        self.domains = tuple(domains)
-        self.partitioned = partitioned
 
     def build(self) -> Environment:
-        env = self._build()
-        assert (env.partition is not None) == self.partitioned, self.name
-        return env
-
-    def resolve(self, name: str) -> str:
-        """Map a canonical domain tag onto one this config declares."""
-        if name in self.domains:
-            return name
-        return self.domains[DOMAINS.index(name) % len(self.domains)]
+        return self._build()
 
     def __repr__(self):
         return f"<EngineConfig {self.name}>"
@@ -71,80 +48,8 @@ def _with_env_var(var):
     return build
 
 
-def _no_partition_env():
-    # The escape hatch itself: enable_partition must refuse under
-    # REPRO_NO_PARTITION and leave the serial kernel in place.
-    with _env_var("REPRO_NO_PARTITION"):
-        env = Environment()
-        installed = env.enable_partition(
-            PartitionPlan.uniform(DOMAINS, 400.0))
-    assert installed is None
-    return env
-
-
-def _partitioned(names, window, use_wheel=None):
-    def build():
-        env = Environment(use_wheel=use_wheel)
-        # use_partition=True: must install even when the ambient
-        # REPRO_NO_PARTITION hatch is set (the CI engine matrix runs
-        # this suite under every hatch combination).
-        installed = env.enable_partition(
-            PartitionPlan.uniform(names, window), use_partition=True)
-        assert installed is not None
-        # The generated conformance programs share mutable state across
-        # domains and assert raw dispatch-order identity against the
-        # serial kernel -- the exact-order merge's contract. Window
-        # batching deliberately relaxes same-time cross-domain order,
-        # so pin it off here; BATCHED_CONFIGS covers the batched engine
-        # with order-insensitive (canonicalized) comparisons.
-        installed.batching = False
-        installed.threaded = False
-        return env
-    return build
-
-
-def _partitioned_hw():
-    # The plan the Machine layer derives from Table 2 (asymmetric
-    # per-pair windows, three domains).
-    env = Environment()
-    plan = Interconnect(HwParams.pcie()).partition_plan()
-    part = env.enable_partition(plan, use_partition=True)
-    assert part is not None
-    part.batching = False
-    part.threaded = False
-    return env
-
-
-def _batched(names, window, use_wheel=None, threaded=False):
-    def build():
-        env = Environment(use_wheel=use_wheel)
-        part = env.enable_partition(
-            PartitionPlan.uniform(names, window), use_partition=True)
-        assert part is not None
-        # Force-enable so the batched path is exercised even when the
-        # CI matrix sets REPRO_NO_WINDOW_BATCH=1 for the exact configs.
-        part.batching = True
-        if threaded:
-            # REPRO_PARALLEL_DOMAINS=force semantics: concurrent
-            # windows even on a GIL build (contention, not speed --
-            # this config exists to pin determinism, not throughput).
-            part.threaded = True
-            part._concurrent = True
-        return env
-    return build
-
-
-def _batched_hw():
-    env = Environment()
-    plan = Interconnect(HwParams.pcie()).partition_plan()
-    part = env.enable_partition(plan, use_partition=True)
-    assert part is not None
-    part.batching = True
-    return env
-
-
-#: Every engine configuration the kernel ships. The first entry is the
-#: reference implementation the rest are diffed against.
+#: Every kernel configuration. The first entry is the reference
+#: implementation the rest are diffed against.
 ENGINE_CONFIGS = [
     EngineConfig("heap", _plain(use_wheel=False)),
     EngineConfig("wheel", _plain(use_wheel=True)),
@@ -153,29 +58,6 @@ ENGINE_CONFIGS = [
     # kernel; it rides along so the whole escape-hatch matrix is pinned
     # kernel-equivalent from one place.
     EngineConfig("legacy-ticks-env", _with_env_var("REPRO_LEGACY_TICKS")),
-    EngineConfig("no-partition-env", _no_partition_env),
-    EngineConfig("partition-2", _partitioned(("host", "nic"), 400.0),
-                 domains=("host", "nic"), partitioned=True),
-    EngineConfig("partition-3", _partitioned(DOMAINS, 400.0),
-                 partitioned=True),
-    EngineConfig("partition-3-heap",
-                 _partitioned(DOMAINS, 400.0, use_wheel=False),
-                 partitioned=True),
-    EngineConfig("partition-hw", _partitioned_hw, partitioned=True),
 ]
 
 REFERENCE = ENGINE_CONFIGS[0]
-
-#: Window-batched engine variants. These relax same-time cross-domain
-#: dispatch order (the batched contract), so they are *not* diffed on
-#: raw logs -- ``test_rng_streams.py`` compares canonicalized
-#: (time-sorted) logs, per-stream RNG draw sequences, and dispatch
-#: counts instead.
-BATCHED_CONFIGS = [
-    EngineConfig("partition-batched", _batched(DOMAINS, 400.0),
-                 partitioned=True),
-    EngineConfig("partition-batched-hw", _batched_hw, partitioned=True),
-    EngineConfig("partition-threaded",
-                 _batched(DOMAINS, 400.0, threaded=True),
-                 partitioned=True),
-]

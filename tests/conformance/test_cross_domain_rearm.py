@@ -1,62 +1,43 @@
-"""Staged-dispatch + re-arm interleavings across domain boundaries.
+"""Staged-dispatch + re-arm interleavings between processes.
 
-PR 5's review exposed the *stale-seq* bug class: a re-armed
-:class:`PollTimer` leaves its old queue entry behind, and every place
-that entry can surface (heap pop, staged fast path, wheel promotion)
-must re-key it at the re-arm deadline and sequence number. The
-partitioned engine multiplies the surfacing places by the number of
-domains -- a stale entry can sit in one domain's queue while the
-re-arm happens during another domain's dispatch window, and equal
-deadlines must still tie-break on seq *across* queues. These tests pin
-each interleaving, both against absolute expectations and
-differentially against the serial kernel.
+The *stale-seq* bug class: a re-armed :class:`PollTimer` leaves its
+old queue entry behind, and every place that entry can surface (heap
+pop, staged fast path, wheel promotion) must re-key it at the re-arm
+deadline and sequence number, and equal deadlines must still
+tie-break on seq. These scenarios were first written against
+per-domain queues (one process plays the NIC side, the other the host
+side); they pin each interleaving on the single dispatch loop, against
+absolute expectations and differentially with the timer wheel on and
+off.
 """
 
-from repro.sim import Environment, PartitionPlan, PollTimer
-
-DOMAINS = ("host", "ic", "nic")
+from repro.sim import Environment, PollTimer
 
 
-def _partitioned_env(use_wheel=None):
-    env = Environment(use_wheel=use_wheel)
-    part = env.enable_partition(
-        PartitionPlan.uniform(DOMAINS, 400.0),
-        use_partition=True)
-    assert part is not None
-    # These tests pin *exact-order* cross-queue tie-breaks -- the
-    # exact-merge engine's contract. Window batching deliberately
-    # relaxes same-time cross-domain ordering, so pin it off here.
-    part.batching = False
-    part.threaded = False
-    return env
-
-
-def _both_engines(program, use_wheel=None):
-    """Run one program serially and partitioned; logs must match."""
-    serial = program(Environment(use_wheel=use_wheel))
-    parted = program(_partitioned_env(use_wheel=use_wheel))
-    assert serial == parted
-    return serial
+def _both_engines(program):
+    """Run one program with and without the timer wheel; logs must
+    match."""
+    heap = program(Environment(use_wheel=False))
+    wheel = program(Environment(use_wheel=True))
+    assert heap == wheel
+    return heap
 
 
 def test_rearm_from_other_domain_dispatch_fires_at_new_deadline():
-    """A poll timer whose stale entry sits in the NIC queue is re-armed
-    during a *host*-domain dispatch; it must fire once, at the new
-    deadline, on both engines."""
+    """A poll timer whose stale entry sits in the queue is re-armed
+    during another process's dispatch; it must fire once, at the new
+    deadline, with the wheel on and off."""
     def program(env):
         log = []
-        with env.domain("nic"):
-            poll = PollTimer(env)
+        poll = PollTimer(env)
 
-        def driver():  # home = host (default domain)
-            with env.domain("nic"):
-                timer = poll.arm(600.0)
+        def driver():
+            timer = poll.arm(600.0)
             del timer.callbacks[:]
             timer.cancel()
-            yield env.timeout(200.0)  # host-domain dispatch at t=200
-            with env.domain("nic"):
-                again = poll.arm(800.0)  # stale entry @600, fire at 1000
-            assert again is timer  # in-place reuse across the boundary
+            yield env.timeout(200.0)  # dispatch at t=200
+            again = poll.arm(800.0)  # stale entry @600, fire at 1000
+            assert again is timer  # in-place reuse
             again.callbacks.append(lambda ev: log.append(("fire", env.now)))
             yield env.timeout(5_000.0)
 
@@ -68,15 +49,14 @@ def test_rearm_from_other_domain_dispatch_fires_at_new_deadline():
 
 
 def test_rearm_while_stale_entry_staged_across_domains():
-    """PR 5's staged-fast-path regression, cross-domain: the arm,
-    cancel, and re-arm all happen inside one NIC-domain dispatch while
-    the *host* domain owns the next events -- the stale entry rides the
-    NIC staged list and must be re-keyed, not fired early."""
+    """The staged-fast-path regression: the arm, cancel, and re-arm
+    all happen inside one dispatch while other timers own the next
+    events -- the stale entry rides the staged list and must be
+    re-keyed, not fired early."""
     def program(env):
         log = []
         fired = []
-        with env.domain("nic"):
-            poll = PollTimer(env)
+        poll = PollTimer(env)
 
         def on_start(_):
             timer = poll.arm(200.0)
@@ -86,12 +66,10 @@ def test_rearm_while_stale_entry_staged_across_domains():
             assert again is timer
             again.callbacks.append(lambda ev: fired.append(env.now))
 
-        with env.domain("nic"):
-            starter = env.timeout(10.0)
+        starter = env.timeout(10.0)
         starter.callbacks.append(on_start)
 
-        # Host-domain traffic bracketing the NIC deadlines, so the
-        # partitioned merge actually alternates domains.
+        # Traffic bracketing the poll deadlines.
         for delay in (100.0, 300.0, 600.0):
             t = env.timeout(delay)
             t.callbacks.append(
@@ -107,18 +85,15 @@ def test_rearm_while_stale_entry_staged_across_domains():
 
 def test_equal_deadline_rearm_tiebreaks_across_queues():
     """An equal-deadline re-arm must tie-break on seq exactly like a
-    fresh timeout even when the competing event lives in a *different*
-    domain's queue: host 'mid' timer (earlier seq) before the re-armed
-    NIC poll timer (later seq), same timestamp."""
+    fresh timeout: the 'mid' timer (earlier seq) fires before the
+    re-armed poll timer (later seq), same timestamp."""
     def program(env):
         log = []
-        with env.domain("nic"):
-            poll = PollTimer(env)
+        poll = PollTimer(env)
 
-        def driver():  # home = host
+        def driver():
             ev = env.event()
-            with env.domain("nic"):
-                timer = poll.arm(100.0)
+            timer = poll.arm(100.0)
 
             def kicker():
                 yield env.timeout(10.0)
@@ -126,10 +101,9 @@ def test_equal_deadline_rearm_tiebreaks_across_queues():
 
             env.process(kicker())
             yield env.any_of([ev, timer])  # resumes at t=10; loser cancelled
-            mid = env.timeout(90.0)        # host queue, same deadline t=100
+            mid = env.timeout(90.0)        # same deadline t=100
             mid.callbacks.append(lambda e: log.append("mid"))
-            with env.domain("nic"):
-                again = poll.arm(90.0)     # nic queue, seq after mid's
+            again = poll.arm(90.0)         # seq after mid's
             again.callbacks.append(lambda e: log.append("poll"))
             yield env.timeout(300.0)
 
@@ -141,24 +115,21 @@ def test_equal_deadline_rearm_tiebreaks_across_queues():
 
 
 def test_rearm_surfacing_via_wheel_promotion_in_other_domain():
-    """A far-future poll entry parked in the NIC domain's *wheel* is
-    re-armed; the stale entry must be re-keyed at promotion time in
-    that domain while the host domain keeps dispatching."""
+    """A far-future poll entry parked in the *wheel* is re-armed; the
+    stale entry must be re-keyed at promotion time while another
+    process keeps dispatching."""
     def program(env):
         log = []
-        with env.domain("nic"):
-            poll = PollTimer(env)
+        poll = PollTimer(env)
 
-        def driver():  # home = host
-            with env.domain("nic"):
-                timer = poll.arm(50_000.0)  # parks in the NIC fine wheel
+        def driver():
+            timer = poll.arm(50_000.0)  # parks in the fine wheel
             del timer.callbacks[:]
             timer.cancel()
             yield env.timeout(1_000.0)
-            with env.domain("nic"):
-                again = poll.arm(60_000.0)  # stale wheel entry @50_000
+            again = poll.arm(60_000.0)  # stale wheel entry @50_000
             again.callbacks.append(lambda ev: log.append(("fire", env.now)))
-            # Host heartbeat spanning the promotion window.
+            # Heartbeat spanning the promotion window.
             for _ in range(8):
                 yield env.timeout(10_000.0)
                 log.append(("beat", env.now))
@@ -172,32 +143,28 @@ def test_rearm_surfacing_via_wheel_promotion_in_other_domain():
 
 
 def test_cross_domain_sends_interleave_with_rearm():
-    """Lookahead-checked sends landing in the poll timer's domain while
-    it re-arms: the merge across queues must still match serial."""
+    """Timers from a second process landing between the poll timer's
+    re-arms leave every poll firing on time."""
     def program(env):
         log = []
-        with env.domain("nic"):
-            poll = PollTimer(env)
+        poll = PollTimer(env)
 
-        def nic_poller():
-            with env.domain("nic"):
-                pass  # (tag applies at creation, below)
+        def poller():
             for i in range(6):
                 timer = poll.arm(700.0)
                 timer.callbacks.append(
                     lambda ev, i=i: log.append(("poll", i, env.now)))
                 yield timer
 
-        def host_sender():
+        def sender():
             for i in range(6):
-                t = env.cross_timeout("nic", 500.0 + 137.0 * i, i)
+                t = env.timeout(500.0 + 137.0 * i, i)
                 t.callbacks.append(
                     lambda ev, i=i: log.append(("x", i, env.now)))
                 yield env.timeout(400.0)
 
-        with env.domain("nic"):
-            env.process(nic_poller())
-        env.process(host_sender())
+        env.process(poller())
+        env.process(sender())
         env.run(until=10_000.0)
         return log
 

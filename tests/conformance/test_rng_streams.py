@@ -1,56 +1,43 @@
-"""Cross-engine RNG draw-order conformance for named streams.
+"""RNG draw-order conformance for named streams.
 
-The window-batched engine's repeatability contract is structural:
-model components draw from **named per-domain streams**
-(:mod:`repro.sim.rngs`), so each component's draw sequence is a pure
-function of its own event order -- which every engine preserves
-per-domain -- and never of how independent domains' events interleave
-globally. These tests pin that contract with generated programs whose
-every event records ``(tag, time, domain, draw)``:
+Model components draw from **named streams** (:mod:`repro.sim.rngs`),
+so each component's draw sequence is a pure function of its own event
+order. These tests pin that contract with generated programs whose
+every event records ``(tag, time, stream, draw)``: every kernel
+configuration (heap, wheel, escape hatches) must reproduce the
+reference log, the per-stream draw sequences and the dispatch count
+byte for byte.
 
-- **exact-order engines** (serial heap/wheel, exact-merge partition)
-  must reproduce the reference *raw* log, byte for byte;
-- **window-batched engines** (:data:`BATCHED_CONFIGS`, including the
-  force-threaded config) may reorder same-time cross-domain ties, so
-  they are held to the *canonicalized* bar: the time-sorted log, the
-  per-stream draw sequences, and the dispatch count must all match the
-  serial reference exactly.
-
-A failure here means some engine changed which events consult which
-stream, or the order a single domain's events run in -- precisely the
-classic PDES repeatability bug the named-stream scheme exists to kill.
+A failure here means some configuration changed which events consult
+which stream, or the order a stream's events run in.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.rngs import RngStreams
 
-from tests.conformance.engines import (BATCHED_CONFIGS, DOMAINS,
-                                       ENGINE_CONFIGS, MIN_CROSS_DELAY,
-                                       REFERENCE)
+from tests.conformance.engines import ENGINE_CONFIGS, REFERENCE
 
 #: Root seed for every program's stream family. Any value works; it is
 #: fixed so failures replay.
 ROOT_SEED = 0xC0FFEE
 
+#: Stream names the generated programs draw from.
+STREAMS = ("host", "ic", "nic")
+
 #: Timer delays spanning inline, wheel, and coarse-wheel routing.
 _DELAYS = [1.0, 200.0, 4096.0, 30_000.0, 400_000.0]
 
 _op = st.one_of(
-    # One event in `dom` that draws once from that domain's stream.
+    # One event that draws once from one of the streams.
     st.tuples(st.just("draw"), st.integers(min_value=0, max_value=2),
               st.sampled_from(_DELAYS)),
     # An event whose callback draws a *delay* from its stream and
-    # schedules a follow-up in the same domain: timing itself becomes a
+    # schedules a follow-up on the same stream: timing itself becomes a
     # function of the stream, so a draw-order slip shifts timestamps
     # and fails loudly rather than only flipping logged values.
     st.tuples(st.just("chain"), st.integers(min_value=0, max_value=2),
               st.sampled_from(_DELAYS), st.integers(min_value=1, max_value=3)),
-    # Lookahead-respecting cross-domain send; the callback runs (and
-    # draws) in the destination domain.
-    st.tuples(st.just("cross"), st.integers(min_value=0, max_value=2),
-              st.integers(min_value=0, max_value=2),
-              st.sampled_from([0.0, 512.0, 30_000.0])),
     # Let simulated time pass in the driver.
     st.tuples(st.just("run"), st.integers(min_value=1, max_value=20)),
 )
@@ -59,62 +46,47 @@ _programs = st.lists(_op, min_size=1, max_size=40)
 
 
 def run_program(config, ops):
-    """Replay one generated program on ``config``'s engine.
+    """Replay one generated program on ``config``'s kernel.
 
-    Returns ``(raw_log, per_stream_draws, events_dispatched)``. The raw
-    log is in dispatch order; entries are ``(tag, time, domain, draw)``
-    with unique tags, so sorting it yields a canonical form that is
-    insensitive to same-time cross-domain tie order.
+    Returns ``(log, per_stream_draws, events_dispatched)``; the log is
+    in dispatch order, entries ``(tag, time, stream, draw)``.
     """
     env = config.build()
     streams = RngStreams(ROOT_SEED)
     log = []
-    drawn = {name: [] for name in DOMAINS}
+    drawn = {name: [] for name in STREAMS}
 
-    def draw(canon):
-        value = streams.stream(canon).random()
-        drawn[canon].append(value)
+    def draw(name):
+        value = streams.stream(name).random()
+        drawn[name].append(value)
         return value
 
-    def logger(tag, canon):
+    def logger(tag, name):
         def callback(event):
-            log.append((tag, env.now, canon, draw(canon)))
+            log.append((tag, env.now, name, draw(name)))
         return callback
 
-    def chainer(tag, canon, count):
+    def chainer(tag, name, count):
         def callback(event):
-            log.append((tag, env.now, canon, draw(canon)))
+            log.append((tag, env.now, name, draw(name)))
             if count > 0:
                 # The follow-up's delay comes off the same stream: the
                 # event *timeline* now depends on draw order.
-                delay = 1.0 + draw(canon) * 5000.0
-                with env.domain(config.resolve(canon)):
-                    nxt = env.timeout(delay)
-                nxt.callbacks.append(chainer(f"{tag}+", canon, count - 1))
+                nxt = env.timeout(1.0 + draw(name) * 5000.0)
+                nxt.callbacks.append(chainer(f"{tag}+", name, count - 1))
         return callback
 
     def driver():
         for n, op in enumerate(ops):
             kind = op[0]
             if kind == "draw":
-                _, dom, delay = op
-                canon = DOMAINS[dom]
-                with env.domain(config.resolve(canon)):
-                    timer = env.timeout(delay)
-                timer.callbacks.append(logger(f"d{n}", canon))
+                _, idx, delay = op
+                timer = env.timeout(delay)
+                timer.callbacks.append(logger(f"d{n}", STREAMS[idx]))
             elif kind == "chain":
-                _, dom, delay, count = op
-                canon = DOMAINS[dom]
-                with env.domain(config.resolve(canon)):
-                    timer = env.timeout(delay)
-                timer.callbacks.append(chainer(f"c{n}", canon, count))
-            elif kind == "cross":
-                _, src, dst, extra = op
-                canon = DOMAINS[dst]
-                with env.domain(config.resolve(DOMAINS[src])):
-                    timer = env.cross_timeout(config.resolve(canon),
-                                              MIN_CROSS_DELAY + extra)
-                timer.callbacks.append(logger(f"x{n}", canon))
+                _, idx, delay, count = op
+                timer = env.timeout(delay)
+                timer.callbacks.append(chainer(f"c{n}", STREAMS[idx], count))
             else:  # "run"
                 yield env.timeout(float(op[1]) * 977.0)
         yield env.timeout(2_000_000.0)  # drain wheels and chains
@@ -124,68 +96,29 @@ def run_program(config, ops):
     return log, drawn, env.events_dispatched
 
 
-def _canonical(result):
-    """The order-insensitive bar: time-sorted log (tags are unique, so
-    the sort is total), per-stream draw sequences, dispatch count."""
-    log, drawn, dispatched = result
-    return sorted(log), drawn, dispatched
-
-
-#: Property-test subset: one exact partition and one batched config
-#: (the full matrix, threaded included, runs in the smoke test below).
-_EXACT = [c for c in ENGINE_CONFIGS
-          if c.name in ("wheel", "partition-3", "partition-hw")]
-_BATCHED = [c for c in BATCHED_CONFIGS if c.name == "partition-batched"]
-
-
 @settings(deadline=None, max_examples=25)
 @given(_programs)
 def test_stream_draws_identical_across_engines(ops):
     reference = run_program(REFERENCE, ops)
-    for config in _EXACT:
+    for config in ENGINE_CONFIGS[1:]:
         assert run_program(config, ops) == reference, (
-            f"exact-order engine {config.name!r} diverged on {ops!r}")
-    want = _canonical(reference)
-    for config in _BATCHED:
-        assert _canonical(run_program(config, ops)) == want, (
-            f"batched engine {config.name!r} changed per-stream draw "
-            f"order or the event set on {ops!r}")
+            f"config {config.name!r} diverged on {ops!r}")
 
 
-#: A fixed program exercising every op kind, all three domains, and
-#: both cross directions -- the full-matrix smoke bar.
-_SMOKE = [("draw", 0, 200.0), ("chain", 1, 1.0, 3), ("cross", 0, 2, 512.0),
+#: A fixed program exercising every op kind and all three streams -- the
+#: full-matrix smoke bar.
+_SMOKE = [("draw", 0, 200.0), ("chain", 1, 1.0, 3), ("draw", 2, 1_512.0),
           ("run", 5), ("draw", 2, 30_000.0), ("chain", 0, 4096.0, 2),
-          ("cross", 2, 0, 30_000.0), ("run", 12), ("chain", 2, 400_000.0, 3),
-          ("draw", 1, 1.0), ("cross", 1, 0, 0.0), ("run", 3)]
+          ("draw", 0, 31_000.0), ("run", 12), ("chain", 2, 400_000.0, 3),
+          ("draw", 1, 1.0), ("draw", 0, 1_000.0), ("run", 3)]
 
 
 def test_smoke_program_full_matrix():
-    """Every shipped config -- serial, exact merge, batched, threaded --
-    agrees on the canonical log; exact-order configs also agree raw."""
+    """Every shipped config agrees with the reference on the smoke
+    program, and the program consults every stream."""
     reference = run_program(REFERENCE, _SMOKE)
     log, drawn, dispatched = reference
     assert len(log) > 10  # the program actually drew
-    assert all(drawn[name] for name in DOMAINS)  # every stream consulted
-    want = _canonical(reference)
+    assert all(drawn[name] for name in STREAMS)  # every stream consulted
     for config in ENGINE_CONFIGS[1:]:
         assert run_program(config, _SMOKE) == reference, config.name
-    for config in BATCHED_CONFIGS:
-        assert _canonical(run_program(config, _SMOKE)) == want, config.name
-
-
-def test_batched_configs_really_batch():
-    """Guard against the batched bar passing because batching silently
-    degraded to the exact merge before any window ran: replay the smoke
-    program on a hand-built env per config and check window counters."""
-    for config in BATCHED_CONFIGS:
-        env = config.build()
-        part = env.partition
-        assert part.batching, config.name
-        with env.domain(config.resolve("host")):
-            env.timeout(100.0)
-        with env.domain(config.resolve("nic")):
-            env.timeout(50_000.0)
-        env.run(until=200_000.0)
-        assert part.windows_batched > 0, config.name
-        assert part.batch_degrades == 0, config.name

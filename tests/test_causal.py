@@ -1,5 +1,5 @@
-"""Tests for causal request tracing, critical-path blame analysis, and
-the partition observatory (repro.obs.causal + the span identity layer).
+"""Tests for causal request tracing and critical-path blame analysis
+(repro.obs.causal + the span identity layer).
 """
 
 import pickle
@@ -273,65 +273,17 @@ def test_deployment_analysis_is_deterministic():
     assert "Causal request blame" in texts[0]
 
 
-def test_run_report_includes_causal_and_observatory_sections():
+def test_run_report_includes_causal_section():
     hub = Telemetry()
     with hub:
         _run_sched_deployment()
     text = run_report(hub)
     assert "## Causal request blame" in text
-    assert "## Partition observatory" in text
-
-
-# -- partition observatory ---------------------------------------------------
-
-def test_observatory_populated_for_partitioned_deployment():
-    hub = Telemetry()
-    with hub:
-        env, _ = _run_sched_deployment()
-    assert env.partition is not None  # partitioned engine ran
-    obs = hub.runs[0].partition
-    assert obs is not None
-    # Host cores and the NIC agent both dispatched windows.
-    assert obs.windows["host"] > 0
-    assert obs.windows["nic"] > 0
-    assert obs.events["host"] > 0
-    assert obs.events["nic"] > 0
-    assert obs.total_events == sum(obs.events.values())
-    # The MSI-X path crosses nic -> host.
-    assert obs.traffic.get(("nic", "host"), 0) > 0
-    # Fences cut windows short in both directions under this protocol.
-    assert obs.stall_counts
-    for key, count in obs.stall_counts.items():
-        assert count > 0
-        assert obs.stall_ns.get(key, 0.0) >= 0.0
-    assert obs.speedup_bound() >= 1.0
-    assert obs.busy_bound() >= 1.0
-    assert max(obs.cp_events.values()) <= obs.total_events
-
-
-def test_observatory_absent_without_telemetry():
-    env, _ = _run_sched_deployment()
-    assert env.telemetry is None
-    assert env.partition is not None
-    assert env.partition.observatory is None
-
-
-def test_observatory_deterministic_across_runs():
-    snaps = []
-    for _ in range(2):
-        hub = Telemetry()
-        with hub:
-            _run_sched_deployment()
-        obs = hub.runs[0].partition
-        snaps.append((obs.windows, obs.events, obs.busy_ns,
-                      obs.stall_counts, obs.stall_ns, obs.traffic,
-                      obs.cp_events, obs.total_events))
-    assert snaps[0] == snaps[1]
 
 
 def test_observatory_not_in_metrics_dump():
-    """The observatory must never leak into the metrics registry: the
-    telemetry digest is engine-independent."""
+    """No engine-specific state leaks into the metrics registry: the
+    telemetry digest describes the model, not the dispatch loop."""
     from repro.obs import metrics_dump
     hub = Telemetry()
     with hub:
@@ -343,7 +295,7 @@ def test_observatory_not_in_metrics_dump():
 
 # -- shard round trip --------------------------------------------------------
 
-def test_shard_pickle_preserves_ids_edges_and_observatory():
+def test_shard_pickle_preserves_ids_and_edges():
     hub = Telemetry()
     with hub:
         _run_sched_deployment()
@@ -358,10 +310,6 @@ def test_shard_pickle_preserves_ids_edges_and_observatory():
         assert a.parent_id == b.parent_id
         assert a.links == b.links
         assert a.req == b.req
-    obs = absorbed.runs[0].partition
-    assert obs is not None
-    assert obs.windows == hub.runs[0].partition.windows
-    assert obs.stall_ns == hub.runs[0].partition.stall_ns
     # The analysis of the absorbed hub is byte-identical.
     assert analyze_report(absorbed) == analyze_report(hub)
 

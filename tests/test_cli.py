@@ -86,7 +86,6 @@ def test_analyze_command(tmp_path, capsys):
     assert text.startswith("# table3: causal analysis")
     assert "Causal request blame" in text
     assert "Critical path of the p99 request" in text
-    assert "Partition observatory" in text
     assert "sched-policy" in text
 
 

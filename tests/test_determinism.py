@@ -20,14 +20,19 @@ depended on what ran earlier in the process; they now reset at every
 emit the same span args as a serial run. The hash predates that and
 keeps its narrower footing.)
 
-Since the partitioned parallel-DES engine (``repro.sim.partition``)
-became the Machine default, the golden digest doubles as the
-*byte-identity bar* for partitioning: the differential tests at the
-bottom run the same figure points with the engine forced off
-(``REPRO_NO_PARTITION``) and demand identical traces, aggregates, and
-telemetry digests -- while asserting the on-runs really partitioned.
+A second pin holds a full-scale Fig 4a point (Wave-15 FIFO at
+700k req/s, seed 4) to the exact-order kernel's output: the
+window-batched partitioned engine this repo once defaulted to completed
+2,711 requests there instead of 2,708.
+
+The differential tests at the bottom run the same figure points twice
+and demand identical traces, aggregates, kernel counters, and telemetry
+digests: with the removed engine flags set and unset (a stale setting
+must change nothing), and with the timer wheel on and off (the two
+queueing variants of the one dispatch loop).
 """
 
+import dataclasses
 import hashlib
 
 from repro.core import Placement, WaveOpts
@@ -80,17 +85,9 @@ def test_different_seed_different_trace():
     assert _event_hash(first_trace) != _event_hash(second_trace)
 
 
-def test_reduced_scale_trace_matches_golden_digest(monkeypatch):
-    # The partition assertion below must hold even when the CI
-    # engine matrix sets the ambient escape hatch.
-    monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
-    counters = {}
-    _, trace = _run(seed=1, counters=counters)
+def test_reduced_scale_trace_matches_golden_digest():
+    _, trace = _run(seed=1)
     assert len(trace) > 500  # the window actually carries load
-    # The default engine really is the partitioned one -- this digest
-    # check must not pass by silently falling back to the serial path.
-    assert counters["partition_domains"] == 3
-    assert counters["partition_switches"] > 0
     assert _event_hash(trace) == GOLDEN_DIGEST, (
         "the reduced-scale Fig 4a FIFO event trace drifted from the "
         "checked-in golden digest: some change altered simulated event "
@@ -98,111 +95,129 @@ def test_reduced_scale_trace_matches_golden_digest(monkeypatch):
         "update GOLDEN_DIGEST in this file in the same commit.")
 
 
-# -- partitioned engine byte-identity ----------------------------------------
+#: sha256 of every result field (floats by repr) of the Fig 4a Wave-15
+#: FIFO point at 700k req/s, seed 4, as the exact-order serial kernel
+#: computes it.
+WAVE15_SEED4_DIGEST = \
+    "5bb7af208c003b4654de1db2e7dd1cd5b29ec2a4e8bca90c227361b5071f58f1"
+
+
+def test_fig4a_wave15_seed4_matches_exact_order():
+    """A point where window-batched dispatch diverged from exact order
+    (2,711 completions, p50 32.32 us): the kernel must give the exact
+    (time, priority, seq) result -- 2,708 completions, p50 33.06 us."""
+    result = run_sched_point(Placement.NIC, WaveOpts.full(), 15, FifoPolicy,
+                             RocksDbModel.fifo_mix, 700_000,
+                             duration_ns=5e6, warmup_ns=1e6, seed=4)
+    assert result.completed == 2708
+    text = repr(sorted((k, repr(v)) for k, v in
+                       dataclasses.asdict(result).items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == WAVE15_SEED4_DIGEST
+
+
+# -- differential runs -----------------------------------------------------------
+
+#: Flags that once chose among partitioned engines, with the values
+#: that selected the serial engine, exact merge, and forced threads.
+#: They are gone; a stale setting must leave every output unchanged.
+REMOVED_ENGINE_FLAGS = {"REPRO_NO_PARTITION": "1",
+                        "REPRO_NO_WINDOW_BATCH": "1",
+                        "REPRO_PARALLEL_DOMAINS": "force"}
+
+
+def _set_removed_flags(monkeypatch, on):
+    for name, value in REMOVED_ENGINE_FLAGS.items():
+        if on:
+            monkeypatch.setenv(name, value)
+        else:
+            monkeypatch.delenv(name, raising=False)
+
+
+def _set_wheel(monkeypatch, on):
+    if on:
+        monkeypatch.delenv("REPRO_NO_TIMER_WHEEL", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_NO_TIMER_WHEEL", "1")
+
+
+def _fig4a(seed=3):
+    counters = {}
+    result, trace = _run(seed=seed, counters=counters)
+    return result, _event_hash(trace), counters
+
+
+def _fig5():
+    counters = {}
+    result = run_vm_point(2, ticks=True, measure_ns=20_000_000,
+                          counters=counters)
+    return result, counters
+
 
 def test_partition_off_matches_golden_digest(monkeypatch):
-    """The serial fallback produces the *same* golden trace: the digest
-    pins one behaviour for both engines, not one digest per engine."""
+    """``REPRO_NO_PARTITION`` once selected the serial engine, whose
+    trace the golden digest pins; with the flag gone a stale setting
+    still yields that trace."""
     monkeypatch.setenv("REPRO_NO_PARTITION", "1")
-    counters = {}
-    _, trace = _run(seed=1, counters=counters)
-    assert counters["partition_domains"] == 0  # really ran serial
+    _, trace = _run(seed=1)
     assert _event_hash(trace) == GOLDEN_DIGEST
 
 
 def test_fig4a_point_identical_partition_on_vs_off(monkeypatch):
-    """Full Fig 4a point equality: every aggregate in the result
-    dataclass, the raw event trace, and the kernel's invariant counters
-    must match between the exact-order partitioned merge and the serial
-    engine. (The window-batched default is held to the digest bar in
-    the companion test below: it may reorder same-time cross-domain
-    ties inside the lookahead credit band, which shifts poll-machinery
-    scheduling counts without touching any observable result.)"""
-    monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
-    monkeypatch.setenv("REPRO_NO_WINDOW_BATCH", "1")
-    on_counters = {}
-    on_result, on_trace = _run(seed=3, counters=on_counters)
-    assert on_counters["partition_domains"] == 3
-    assert on_counters["partition_switches"] > 0
-    assert on_counters["partition_cross_sends"] > 0  # MSI-X really routed
-
-    monkeypatch.setenv("REPRO_NO_PARTITION", "1")
-    off_counters = {}
-    off_result, off_trace = _run(seed=3, counters=off_counters)
-    assert off_counters["partition_domains"] == 0
-
-    assert on_result == off_result
-    assert _event_hash(on_trace) == _event_hash(off_trace)
-    # Engine-contract invariants (admission counters are exempt).
-    assert on_counters["events_logical"] == off_counters["events_logical"]
-    assert (on_counters["events_dispatched"]
-            == off_counters["events_dispatched"])
+    """Full Fig 4a point equality with the removed engine flags set and
+    unset: every aggregate in the result dataclass, the raw event trace,
+    and all of the kernel's event counters."""
+    runs = []
+    for on in (False, True):
+        _set_removed_flags(monkeypatch, on)
+        runs.append(_fig4a())
+    assert runs[0] == runs[1]
+    assert runs[0][2]["events_dispatched"] > 0
 
 
 def test_fig4a_point_batched_matches_serial(monkeypatch):
-    """The window-batched default produces the same Fig 4a point:
-    aggregates and the request trace are byte-identical to the serial
-    engine even though in-flight scheduling may tie-reorder."""
-    monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
-    monkeypatch.delenv("REPRO_NO_WINDOW_BATCH", raising=False)
-    on_counters = {}
-    on_result, on_trace = _run(seed=3, counters=on_counters)
-    assert on_counters["partition_domains"] == 3
-
-    monkeypatch.setenv("REPRO_NO_PARTITION", "1")
-    off_result, off_trace = _run(seed=3)
-
-    assert on_result == off_result
-    assert _event_hash(on_trace) == _event_hash(off_trace)
+    """The timer wheel files timers into time buckets and promotes them
+    a bucket at a time; the Fig 4a point must come out exactly as from
+    the plain heap. (Promotions count as schedulings, so only
+    ``events_scheduled`` may differ.)"""
+    runs = []
+    for on in (True, False):
+        _set_wheel(monkeypatch, on)
+        result, digest, counters = _fig4a()
+        runs.append((result, digest, counters["events_logical"],
+                     counters["events_dispatched"]))
+    assert runs[0] == runs[1]
 
 
 def test_fig5_point_identical_partition_on_vs_off(monkeypatch):
     """The Fig 5 vCPU-scheduling point -- a different model stack (VM
-    host, busy loops, tick machinery) -- is byte-identical too."""
-    monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
-    monkeypatch.setenv("REPRO_NO_WINDOW_BATCH", "1")
-    on_counters = {}
-    on = run_vm_point(2, ticks=True, measure_ns=20_000_000,
-                      counters=on_counters)
-    assert on_counters["partition_domains"] == 3
-
-    monkeypatch.setenv("REPRO_NO_PARTITION", "1")
-    off_counters = {}
-    off = run_vm_point(2, ticks=True, measure_ns=20_000_000,
-                       counters=off_counters)
-    assert off_counters["partition_domains"] == 0
-
-    assert on == off
-    assert on_counters["events_logical"] == off_counters["events_logical"]
-    assert (on_counters["events_dispatched"]
-            == off_counters["events_dispatched"])
+    host, busy loops, tick machinery) -- is identical too."""
+    runs = []
+    for on in (False, True):
+        _set_removed_flags(monkeypatch, on)
+        runs.append(_fig5())
+    assert runs[0] == runs[1]
 
 
 def test_fig5_point_batched_matches_serial(monkeypatch):
-    """Window-batched default on the Fig 5 stack: result-identical."""
-    monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
-    monkeypatch.delenv("REPRO_NO_WINDOW_BATCH", raising=False)
-    on_counters = {}
-    on = run_vm_point(2, ticks=True, measure_ns=20_000_000,
-                      counters=on_counters)
-    assert on_counters["partition_domains"] == 3
-
-    monkeypatch.setenv("REPRO_NO_PARTITION", "1")
-    off = run_vm_point(2, ticks=True, measure_ns=20_000_000)
-    assert on == off
+    """Timer wheel on and off on the Fig 5 stack: result-identical."""
+    runs = []
+    for on in (True, False):
+        _set_wheel(monkeypatch, on)
+        result, counters = _fig5()
+        runs.append((result, counters["events_logical"],
+                     counters["events_dispatched"]))
+    assert runs[0] == runs[1]
 
 
 def test_telemetry_digest_identical_partition_on_vs_off(monkeypatch):
     """The observability layer sees the same history: stage spans,
-    counters, and histograms digest identically under both engines."""
-    digests = {}
-    for engine in ("partitioned", "serial"):
-        if engine == "serial":
-            monkeypatch.setenv("REPRO_NO_PARTITION", "1")
-        else:
-            monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
+    counters, and histograms digest identically with the removed engine
+    flags set and unset."""
+    digests = []
+    for on in (False, True):
+        _set_removed_flags(monkeypatch, on)
         hub = Telemetry()
         with hub:
             _run(seed=1)
-        digests[engine] = metrics_digest(hub)
-    assert digests["partitioned"] == digests["serial"]
+        digests.append(metrics_digest(hub))
+    assert digests[0] == digests[1]

@@ -1,78 +1,61 @@
-"""Unit tests for the partitioned parallel-DES engine plumbing.
+"""The machine's timing-domain partition and its Table 2 causality check.
 
-The conformance suite (``tests/conformance/``) proves the partitioned
-engine dispatches byte-identically to the serial kernel; these tests
-cover the plumbing around it: plan validation, the hardware-derived
-lookahead windows, every ``enable_partition`` fallback rule, the
-lookahead-checked cross-domain channel, and process home domains.
+A :class:`Machine` spans three timing domains -- ``host`` (socket),
+``ic`` (interconnect), ``nic`` (SoC). :meth:`HwParams.domain_lookahead`
+gives the smallest latency any modeled interaction can cross each
+ordered hop in. The one NIC -> host send the model makes, the MSI-X
+delivery of :meth:`repro.hw.nic.SmartNic.raise_msix`, is checked
+against the ``nic -> host`` minimum: a faster delivery raises
+:class:`LookaheadViolation`, and parameters whose minimum is not
+positive are refused when the NIC is built.
+
+All three domains run on the one serial dispatch loop:
+``Environment.partition`` is always None, and the environment flag
+that once selected a partitioned engine changes nothing.
 """
 
-import math
+import dataclasses
 
 import pytest
 
-from repro.hw import HwParams
-from repro.hw.pcie import Interconnect
-from repro.hw.platform import Machine
-from repro.sim import (Environment, LookaheadViolation, PartitionPlan,
-                      PollTimer)
-from repro.sim.partition import HOST, INTERCONNECT, NIC
+from repro.hw import HwParams, Interconnect, Machine
+from repro.hw.pcie import LookaheadViolation
+from repro.sim import Environment, PollTimer
 
-PLAN = PartitionPlan.uniform(("host", "ic", "nic"), 400.0)
+DOMAINS = ("host", "ic", "nic")
 
 
-# -- PartitionPlan -----------------------------------------------------------
-
-def test_uniform_plan_declares_every_ordered_pair():
-    plan = PartitionPlan.uniform(("a", "b", "c"), 250.0)
-    assert plan.usable()
-    assert plan.default == "a"
-    pairs = [(s, d) for s in plan.names for d in plan.names if s != d]
-    assert len(pairs) == 6
-    assert all(plan.window(s, d) == 250.0 for s, d in pairs)
-    assert plan.min_window() == 250.0
+def _stub_propagation(monkeypatch, machine, wire, via_ioctl=False):
+    """Make the next MSI-X delivery take exactly ``wire`` ns."""
+    send = machine.interconnect.msix_send(via_ioctl)
+    monkeypatch.setattr(machine.interconnect, "msix_propagation",
+                        lambda: wire - send)
 
 
-def test_plan_window_defaults_to_zero_when_undeclared():
-    plan = PartitionPlan(("a", "b"), {("a", "b"): 100.0})
-    assert plan.window("a", "b") == 100.0
-    assert plan.window("b", "a") == 0.0
-    assert not plan.usable()  # the missing pair makes it unusable
+def _deliver(machine, via_ioctl=False):
+    """Raise one MSI-X, run to completion, return the delivery times."""
+    env = machine.env
+    _, delivery = machine.nic.raise_msix(via_ioctl=via_ioctl)
+    fired = []
+    delivery.callbacks.append(lambda ev: fired.append(env.now))
+    env.run()
+    return fired
 
 
-@pytest.mark.parametrize("plan", [
-    PartitionPlan.uniform(("solo",), 400.0),          # < 2 domains
-    PartitionPlan.uniform(("a", "a"), 400.0),          # duplicate names
-    PartitionPlan.uniform(("a", "b"), 0.0),            # zero lookahead
-    PartitionPlan.uniform(("a", "b"), -5.0),           # negative lookahead
-    PartitionPlan(("a", "b"), {("a", "b"): 1.0, ("b", "a"): 1.0},
-                  default="zzz"),                      # default not a member
-])
-def test_unusable_plans(plan):
-    assert not plan.usable()
-    assert Environment().enable_partition(
-        plan, use_partition=True) is None
-
-
-def test_empty_plan_min_window_is_infinite():
-    assert PartitionPlan(()).min_window() == math.inf
-
-
-# -- hardware-derived lookahead ---------------------------------------------
+# -- Table 2 minima -----------------------------------------------------------
 
 @pytest.mark.parametrize("preset", ["pcie", "cxl", "upi"])
 def test_domain_lookahead_positive_for_every_preset(preset):
-    """Every shipped Table 2 preset must yield a usable plan -- the
-    Machine layer partitions by default, so a non-positive window here
-    would silently drop the whole repo back to the serial path."""
+    """Every shipped Table 2 preset yields a positive minimum for every
+    ordered pair of timing domains; a non-positive one would let the
+    model deliver a signal at or before the instant it was sent."""
     params = getattr(HwParams, preset)()
     windows = params.domain_lookahead()
     assert set(windows) == {
-        (s, d) for s in ("host", "ic", "nic")
-        for d in ("host", "ic", "nic") if s != d}
+        (s, d) for s in DOMAINS for d in DOMAINS if s != d}
     assert all(w > 0 for w in windows.values()), windows
-    # Composed paths are exactly the sum of their legs (the plan must
-    # not promise a shortcut the two-hop physics cannot deliver).
+    # Composed paths are exactly the sum of their legs (no shortcut the
+    # two-hop physics cannot deliver).
     assert windows[("host", "nic")] == pytest.approx(
         windows[("host", "ic")] + windows[("ic", "nic")])
     assert windows[("nic", "host")] == pytest.approx(
@@ -91,180 +74,145 @@ def test_pcie_lookahead_values_match_table2_derivation():
 
 
 def test_interconnect_partition_plan_is_usable():
-    plan = Interconnect(HwParams.pcie()).partition_plan()
-    assert plan.names == (HOST, INTERCONNECT, NIC)
-    assert plan.default == HOST
-    assert plan.usable()
+    """On every preset the interconnect's own MSI-X propagation already
+    meets the nic -> host minimum, so no unstalled send can trip the
+    check."""
+    for preset in ("pcie", "cxl", "upi"):
+        params = getattr(HwParams, preset)()
+        minimum = params.domain_lookahead()[("nic", "host")]
+        assert Interconnect(params).msix_propagation() >= minimum, preset
+        machine = Machine(Environment(), params)
+        assert machine.nic.min_msix_wire == minimum
 
 
-# -- enable_partition fallbacks ---------------------------------------------
-
-def test_enable_partition_installs_engine(monkeypatch):
-    monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
-    env = Environment()
-    part = env.enable_partition(PLAN, use_partition=True)
-    assert part is not None
-    assert env.partition is part
-    assert part.domain_names() == ("host", "ic", "nic")
+_PCIE = HwParams.pcie()
 
 
-def test_enable_partition_env_var_hatch(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_PARTITION", "1")
-    env = Environment()
-    assert env.enable_partition(PLAN) is None
-    assert env.partition is None
-    # The hatch only fills in the default; an explicit use_partition
-    # wins over it in either direction.
-    assert Environment().enable_partition(PLAN, use_partition=True)
+@pytest.mark.parametrize("plan", [
+    dataclasses.replace(_PCIE, msix_e2e=0.0),          # no wire at all
+    dataclasses.replace(                                # zero minimum
+        _PCIE, msix_e2e=_PCIE.msix_send_ioctl + _PCIE.msix_receive),
+    dataclasses.replace(                                # negative minimum
+        _PCIE, msix_e2e=_PCIE.msix_send_ioctl),
+    dataclasses.replace(_PCIE, msix_receive=_PCIE.msix_e2e),
+    dataclasses.replace(_PCIE, msix_send_ioctl=_PCIE.msix_e2e),
+])
+def test_unusable_plans(plan):
+    """Parameters whose nic -> host minimum is not positive cannot back
+    a causality check: building the NIC refuses them."""
+    assert plan.domain_lookahead()[("nic", "host")] <= 0
+    with pytest.raises(ValueError):
+        Machine(Environment(), plan)
 
 
-def test_enable_partition_explicit_opt_out():
-    env = Environment()
-    assert env.enable_partition(PLAN, use_partition=False) is None
-    assert env.partition is None
+# -- the checked NIC -> host send ------------------------------------------
+
+def test_cross_timeout_below_window_raises(monkeypatch):
+    """A delivery faster than Table 2 allows is a causality violation,
+    not a silently early interrupt."""
+    machine = Machine(Environment())
+    minimum = machine.nic.min_msix_wire
+    _stub_propagation(monkeypatch, machine, minimum - 1.0)
+    with pytest.raises(LookaheadViolation):
+        machine.nic.raise_msix(via_ioctl=False)
 
 
-def test_enable_partition_none_plan():
-    assert Environment().enable_partition(None) is None
+def test_cross_timeout_at_window_is_legal(monkeypatch):
+    """A delivery of exactly the minimum is legal and fires on time."""
+    machine = Machine(Environment())
+    minimum = machine.nic.min_msix_wire
+    _stub_propagation(monkeypatch, machine, minimum)
+    assert _deliver(machine) == [minimum]
+    assert machine.nic.msix_sent == 1
 
 
-def test_enable_partition_twice_raises():
-    env = Environment()
-    assert env.enable_partition(PLAN, use_partition=True)
-    with pytest.raises(RuntimeError):
-        env.enable_partition(PLAN, use_partition=True)
+@pytest.mark.parametrize("via_ioctl", [True, False])
+def test_msix_delivery_respects_nic_host_minimum(via_ioctl):
+    """Both send flavours clear the nic -> host minimum and fire after
+    exactly ``send + propagation``."""
+    machine = Machine(Environment())
+    send = machine.interconnect.msix_send(via_ioctl)
+    wire = send + machine.interconnect.msix_propagation()
+    assert wire >= machine.nic.min_msix_wire
+    assert _deliver(machine, via_ioctl=via_ioctl) == [wire]
 
 
-def test_enable_partition_requires_fresh_env():
-    env = Environment()
-    env.timeout(10.0)
-    with pytest.raises(RuntimeError):
-        env.enable_partition(PLAN, use_partition=True)
+def test_asymmetric_windows_checked_per_direction(monkeypatch):
+    """The MSI-X is held to the nic -> host minimum, not the smaller
+    host -> nic one: a delivery between the two still raises."""
+    machine = Machine(Environment())
+    windows = machine.params.domain_lookahead()
+    host_nic, nic_host = windows[("host", "nic")], windows[("nic", "host")]
+    assert host_nic < nic_host
+    _stub_propagation(monkeypatch, machine, (host_nic + nic_host) / 2)
+    with pytest.raises(LookaheadViolation):
+        machine.nic.raise_msix(via_ioctl=False)
 
+
+# -- one dispatch loop ------------------------------------------------------
 
 def test_fallback_env_runs_serially():
-    """An env that fell back must behave exactly like a plain one:
-    domain() is a no-op context, cross_timeout is a plain timeout."""
+    """Every environment is a plain serial one; ``partition`` is a
+    read-only None."""
     env = Environment()
-    assert env.enable_partition(PLAN, use_partition=False) is None
+    assert env.partition is None
+    with pytest.raises(AttributeError):
+        env.partition = object()
     log = []
-    with env.domain("anything-goes"):
-        t = env.cross_timeout("nic", 1.0)  # below any window: unchecked
+    t = env.timeout(1.0)
     t.callbacks.append(lambda ev: log.append(env.now))
     env.run(until=10.0)
     assert log == [1.0]
 
 
-# -- the cross-domain channel -----------------------------------------------
-
-def test_cross_timeout_below_window_raises():
+def test_machine_partitions_by_default_and_opts_out():
+    """A Machine builds all three domains on the serial loop; the
+    ``use_partition`` option that chose an engine is gone."""
     env = Environment()
-    env.enable_partition(PLAN, use_partition=True)
-    with pytest.raises(LookaheadViolation):
-        env.cross_timeout("nic", 399.0)
+    Machine(env)
+    assert env.partition is None
+    with pytest.raises(TypeError):
+        Machine(Environment(), use_partition=False)
 
 
-def test_cross_timeout_at_window_is_legal():
-    env = Environment()
-    part = env.enable_partition(PLAN, use_partition=True)
-    log = []
-    t = env.cross_timeout("nic", 400.0, value="x")
-    t.callbacks.append(lambda ev: log.append((env.now, ev.value)))
-    env.run(until=1_000.0)
-    assert log == [(400.0, "x")]
-    assert part.cross_sends == 1
-
-
-def test_cross_timeout_same_domain_is_unchecked():
-    env = Environment()
-    part = env.enable_partition(PLAN, use_partition=True)
-    with env.domain("nic"):
-        env.cross_timeout("nic", 0.0)  # same domain: no window applies
-    assert part.cross_sends == 0
-
-
-def test_cross_timeout_unknown_domain_raises():
-    env = Environment()
-    env.enable_partition(PLAN, use_partition=True)
-    with pytest.raises(ValueError):
-        env.cross_timeout("gpu", 1_000.0)
-
-
-def test_domain_context_unknown_name_raises():
-    env = Environment()
-    env.enable_partition(PLAN, use_partition=True)
-    with pytest.raises(ValueError):
-        env.domain("gpu")
-
-
-def test_asymmetric_windows_checked_per_direction():
-    plan = PartitionPlan(("a", "b"),
-                         {("a", "b"): 100.0, ("b", "a"): 900.0})
-    env = Environment()
-    env.enable_partition(plan, use_partition=True)
-    env.cross_timeout("b", 100.0)  # a -> b: fine
-    with env.domain("b"):
-        with pytest.raises(LookaheadViolation):
-            env.cross_timeout("a", 100.0)  # b -> a needs >= 900
-
-
-# -- process home domains ----------------------------------------------------
-
-def test_process_resumes_in_home_domain():
-    """A process created under a domain tag schedules all its timeouts
-    there, even when resumed by an event from another domain."""
-    env = Environment()
-    part = env.enable_partition(PLAN, use_partition=True)
-    seen = []
-
-    def proc():
-        seen.append(part.current.name)
-        yield env.timeout(10.0)
-        seen.append(part.current.name)
-        # Wait on a host-domain event; the wake must restore "nic".
-        with env.domain("host"):
-            wake = env.timeout(10.0)
-        yield wake
-        seen.append(part.current.name)
-
-    with env.domain("nic"):
-        env.process(proc())
-    env.run(until=100.0)
-    assert seen == ["nic", "nic", "nic"]
-
-
-def test_machine_partitions_by_default_and_opts_out(monkeypatch):
-    monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
-    env = Environment()
-    m = Machine(env)
-    assert env.partition is not None
-    assert env.partition.domain_names() == (HOST, INTERCONNECT, NIC)
-    assert m.interconnect.partition_plan().usable()
-
-    serial_env = Environment()
-    Machine(serial_env, use_partition=False)
-    assert serial_env.partition is None
+def test_enable_partition_env_var_hatch(monkeypatch):
+    """``REPRO_NO_PARTITION`` no longer selects anything: the same
+    MSI-X lands at the same time with it set or unset."""
+    times = []
+    for value in (None, "1"):
+        if value is None:
+            monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_NO_PARTITION", value)
+        env = Environment()
+        assert not hasattr(env, "enable_partition")
+        times.append(_deliver(Machine(env)))
+    assert times[0] == times[1] != []
 
 
 def test_partition_counters_track_activity():
-    env = Environment()
-    part = env.enable_partition(PLAN, use_partition=True)
-    with env.domain("nic"):
-        t = env.timeout(50.0)
-    t.callbacks.append(lambda ev: None)
+    """The NIC counts its sends and the kernel its dispatches, with no
+    per-domain counters left to keep."""
+    machine = Machine(Environment())
+    env = machine.env
+    fired = _deliver(machine)
+    assert len(fired) == 1
+    assert machine.nic.msix_sent == 1
+    assert machine.nic.msix_lost == 0
+    dispatched = env.events_dispatched
+    assert dispatched >= 1
     env.timeout(25.0)
-    env.run(until=100.0)
-    assert part.domain_switches >= 2  # host and nic both dispatched
-    assert env.events_dispatched == 2
+    env.run()
+    assert env.events_dispatched == dispatched + 1
 
 
 def test_polltimer_in_partitioned_env():
+    """A poll timer armed in a Machine's environment fires on time."""
     env = Environment()
-    env.enable_partition(PLAN, use_partition=True)
+    Machine(env)
     fired = []
-    with env.domain("ic"):
-        poll = PollTimer(env)
-        timer = poll.arm(300.0)
+    poll = PollTimer(env)
+    timer = poll.arm(300.0)
     timer.callbacks.append(lambda ev: fired.append(env.now))
     env.run(until=1_000.0)
     assert fired == [300.0]

@@ -56,22 +56,6 @@ def _stub_kernel(repeats=3):
             "runs": [{"events_scheduled": 1000, "wall_s": 0.2}]}
 
 
-def _stub_partition(repeats=3):
-    # Shape of measure_partition()'s three-engine result; the real
-    # bench takes tens of seconds per engine, so history-plumbing tests
-    # stub it (the gate logic is still exercised on these values).
-    return {"events_per_sec": 5500, "serial_events_per_sec": 5000,
-            "exact_events_per_sec": 3700,
-            "speedup_vs_serial": 1.1, "exact_speedup_vs_serial": 0.74,
-            "events_dispatched": 900, "serial_events_dispatched": 900,
-            "exact_events_dispatched": 900,
-            "events_logical": 1000, "events_scheduled": 1000,
-            "domain_switches": 40, "cross_sends": 9,
-            "windows_batched": 30, "events_batched": 800,
-            "batch_solo": 5, "batch_degrades": 0,
-            "runs": [], "exact_runs": [], "serial_runs": []}
-
-
 def _stub_timeline(repeats=3):
     # Shape of measure_timeline()'s paired-run result (the real bench
     # is wall-clock and would flake under test-suite load).
@@ -87,7 +71,6 @@ def test_perf_main_appends_history_across_runs(tmp_path, monkeypatch,
     history, and --check still gates on the committed snapshot."""
     _stub_kernel.calls = []
     monkeypatch.setattr(perf, "measure_kernel", _stub_kernel)
-    monkeypatch.setattr(perf, "measure_partition", _stub_partition)
     monkeypatch.setattr(perf, "measure_timeline", _stub_timeline)
     # Run away from the repo root, or carry_history seeds the first run
     # from the committed BENCH_perf.json (by design).
@@ -144,6 +127,21 @@ def test_render_trend_last_n():
     assert "runs: 2 (of 5 recorded)" in text
     assert "t3" in text and "t4" in text
     assert "t0" not in text
+
+
+def test_render_trend_keeps_entries_with_retired_keys():
+    """Entries written while the partitioned-engine bench existed carry
+    ``partition_*`` keys; they still render, without those columns."""
+    old = trajectory.history_entry(_result(100), "t0")
+    old.update(partition_events_per_sec=5500,
+               partition_speedup_vs_serial=1.05,
+               partition_exact_speedup=0.74)
+    new = trajectory.history_entry(_result(110), "t1")
+    assert not any(key.startswith("partition_") for key in new)
+    text = trajectory.render_trend([old, new])
+    assert "t0" in text and "t1" in text
+    assert "+10.0%" in text
+    assert "exact merge" not in text and "1.05x" not in text
 
 
 def test_compare_main_renders_existing_artifact(tmp_path, capsys):

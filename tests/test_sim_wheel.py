@@ -5,10 +5,10 @@ wheel re-homes far timers, PollTimer reuses cancelled poll timeouts,
 virtual ticks account for tick time analytically. None of them may
 change observable behaviour -- dispatch order, timestamps, values, or
 model outputs. This module pins the wheel mechanics and PollTimer arm
-paths directly; the *cross-engine* property tests (random programs
-dispatching identically on every kernel engine, wheel and partitioned
-alike) live in ``tests/conformance/``, which subsumes the wheel-vs-heap
-property tests that originally lived here.
+paths directly; the property tests (random programs dispatching
+identically with the wheel on and off) live in ``tests/conformance/``,
+which subsumes the wheel-vs-heap property tests that originally lived
+here.
 """
 
 import pytest

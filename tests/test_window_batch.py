@@ -1,192 +1,164 @@
-"""Window-batched dispatch: engine counters, fallbacks, and hatches.
+"""Exact-order dispatch and the removed window-batching flags.
 
-The conformance suites prove *what* the batched engine computes (the
-canonicalized-log bar in ``tests/conformance/test_rng_streams.py``);
-these tests pin *how* it runs: that windows really batch, that the
-single-nonempty-queue fast path really skips per-event fencing, that
-cancelled wheel entries really get bulk-purged, that shared-state
-touches really sticky-degrade, and that every env-var hatch resolves to
-the documented mode.
+The kernel has one dispatch loop. ``REPRO_NO_WINDOW_BATCH`` and
+``REPRO_PARALLEL_DOMAINS`` once chose how a partitioned engine batched
+and threaded its windows; they select nothing now, and a stale setting
+must leave dispatch unchanged. The rest pins the serial kernel
+behaviour those modes had to reproduce: exact ``(time, priority, seq)``
+order, an event seeded mid-run neither lost nor late, Store hand-offs,
+and cancelled timers dropped from the wheel without being dispatched.
 """
-
-import sys
 
 import pytest
 
-from repro.sim import Environment, PartitionPlan, Store
-from repro.sim.partition import _PURGE_BACKLOG
-
-PLAN = PartitionPlan.uniform(("host", "ic", "nic"), 400.0)
+from repro.sim import Environment, Store
 
 
-def _batched_env(monkeypatch, parallel=None):
-    monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
-    monkeypatch.delenv("REPRO_NO_WINDOW_BATCH", raising=False)
-    if parallel is None:
-        monkeypatch.delenv("REPRO_PARALLEL_DOMAINS", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_PARALLEL_DOMAINS", parallel)
-    env = Environment()
-    part = env.enable_partition(PLAN, use_partition=True)
-    assert part is not None
-    return env, part
-
-
-# -- batched dispatch really batches ----------------------------------------
-
-def test_batched_run_uses_windows(monkeypatch):
-    env, part = _batched_env(monkeypatch)
-    assert part.batching
+def _workload(env):
+    """Timers from three components, with same-time ties; returns the
+    dispatch log."""
     fired = []
-    for name, delay in (("host", 25.0), ("nic", 50_000.0), ("ic", 90_000.0)):
-        with env.domain(name):
-            t = env.timeout(delay)
-        t.callbacks.append(lambda ev, name=name: fired.append((name, env.now)))
-    env.run(until=200_000.0)
-    assert fired == [("host", 25.0), ("nic", 50_000.0), ("ic", 90_000.0)]
-    assert part.windows_batched > 0
-    assert part.events_batched >= 3
-    assert part.batch_degrades == 0
-    # Window batching still counts as domain activity for the
-    # observability counters the exact merge feeds.
-    assert part.domain_switches >= part.windows_batched
-
-
-def test_no_window_batch_hatch_pins_exact_merge(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_WINDOW_BATCH", "1")
-    monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
-    env = Environment()
-    part = env.enable_partition(PLAN, use_partition=True)
-    assert not part.batching
-    assert not part.threaded
-    with env.domain("nic"):
-        env.timeout(50.0)
-    env.run(until=100.0)
-    assert part.windows_batched == 0
-    assert part.events_batched == 0
-
-
-def test_telemetry_pins_exact_merge(monkeypatch):
-    """Span ordering is observable, so instrumented runs stay exact."""
-    from repro.obs import Telemetry
-    monkeypatch.delenv("REPRO_NO_WINDOW_BATCH", raising=False)
-    with Telemetry():
-        env = Environment()
-        part = env.enable_partition(PLAN, use_partition=True)
-        assert not part.batching
-
-
-# -- shared-state commit rule ------------------------------------------------
-
-def test_shared_store_touch_sticky_degrades(monkeypatch):
-    """A Store touched from two domains computes its results at *call*
-    time, which the window contract cannot fence event-by-event -- the
-    first second-domain touch must degrade the rest of the run to the
-    exact-order merge."""
-    env, part = _batched_env(monkeypatch)
-    store = Store(env)
-
-    def producer():
-        while True:
-            yield env.timeout(500.0)
-            yield store.put(env.now)
-
-    def consumer():
-        while True:
-            got = yield store.get()
-            assert got is not None
-
-    with env.domain("host"):
-        env.process(producer())
-    with env.domain("nic"):
-        env.process(consumer())
-    env.run(until=100_000.0)
-    assert not part.batching  # sticky: stays exact for the run's rest
-    assert not part.threaded
-
-
-def test_single_domain_store_keeps_batching(monkeypatch):
-    """Same Store traffic inside one domain is fence-safe: no degrade."""
-    env, part = _batched_env(monkeypatch)
-    store = Store(env)
-
-    def producer():
-        while True:
-            yield env.timeout(500.0)
-            yield store.put(env.now)
-
-    def consumer():
-        while True:
-            yield store.get()
-
-    with env.domain("host"):
-        env.process(producer())
-        env.process(consumer())
-    with env.domain("nic"):
-        env.timeout(90_000.0)
-    env.run(until=100_000.0)
-    assert part.batching
-    assert part.batch_degrades == 0
-
-
-# -- satellite: unfenced fast path ------------------------------------------
-
-def test_unfenced_fast_path_when_one_queue_nonempty(monkeypatch):
-    """Exact merge with a single populated domain: the whole run takes
-    the no-fence path, and dispatch order is the plain serial order."""
-    monkeypatch.setenv("REPRO_NO_WINDOW_BATCH", "1")
-    monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
-    env = Environment()
-    part = env.enable_partition(PLAN, use_partition=True)
-    fired = []
-    with env.domain("nic"):
-        for delay in (300.0, 100.0, 200.0, 100.0):
-            t = env.timeout(delay)
+    for name, base in (("host", 100.0), ("ic", 700.0), ("nic", 1300.0)):
+        for k in range(40):
+            t = env.timeout(base + 600.0 * (k // 2) + 1800.0 * (k % 3))
             t.callbacks.append(
-                lambda ev, d=delay: fired.append((d, env.now)))
+                lambda ev, n=name, k=k: fired.append((n, k, env.now)))
+    env.run(until=200_000.0)
+    return fired
+
+
+def _exact(fired):
+    """``fired`` re-sorted into (time, insertion order) -- the order
+    exact dispatch must already have produced."""
+    order = {(n, k): i for i, (n, k) in enumerate(
+        (n, k) for n in ("host", "ic", "nic") for k in range(40))}
+    return sorted(fired, key=lambda e: (e[2], order[(e[0], e[1])]))
+
+
+@pytest.fixture
+def reference(monkeypatch):
+    """The dispatch log with no engine flag set."""
+    for name in ("REPRO_NO_PARTITION", "REPRO_NO_WINDOW_BATCH",
+                 "REPRO_PARALLEL_DOMAINS"):
+        monkeypatch.delenv(name, raising=False)
+    fired = _workload(Environment())
+    assert len(fired) == 120
+    assert fired == _exact(fired)
+    return fired
+
+
+# -- stale engine flags ------------------------------------------------------
+
+def test_no_window_batch_hatch_pins_exact_merge(monkeypatch, reference):
+    monkeypatch.setenv("REPRO_NO_WINDOW_BATCH", "1")
+    env = Environment()
+    assert env.partition is None
+    assert _workload(env) == reference
+
+
+@pytest.mark.parametrize("value,threaded", [
+    ("0", False), ("off", False), ("no", False), ("false", False),
+    ("1", True), ("yes", True), ("force", True),
+])
+def test_parallel_domains_mode_resolution(monkeypatch, reference, value,
+                                          threaded):
+    """``threaded`` is the mode each value once selected; neither kind
+    of value changes dispatch now."""
+    monkeypatch.setenv("REPRO_PARALLEL_DOMAINS", value)
+    env = Environment()
+    assert env.partition is None
+    assert _workload(env) == reference, (value, threaded)
+
+
+def test_parallel_domains_auto_matches_build(monkeypatch, reference):
+    """``auto`` once picked threads on free-threaded builds only; on any
+    build the run is the serial one."""
+    monkeypatch.setenv("REPRO_PARALLEL_DOMAINS", "auto")
+    assert _workload(Environment()) == reference
+
+
+def test_forced_threaded_run_matches_serial(monkeypatch, reference):
+    """``force`` once ran domain windows on threads, which matched the
+    serial timeline only after a canonical sort; the log is now the
+    serial one exactly, raw order included."""
+    monkeypatch.setenv("REPRO_PARALLEL_DOMAINS", "force")
+    assert _workload(Environment()) == reference
+
+
+def test_telemetry_pins_exact_merge(reference):
+    """Span ordering is observable, so an instrumented run must
+    dispatch in the same exact order as a bare one."""
+    from repro.obs import Telemetry
+    with Telemetry():
+        assert _workload(Environment()) == reference
+
+
+# -- exact-order dispatch ------------------------------------------------------
+
+def test_unfenced_fast_path_when_one_queue_nonempty():
+    """Timers from one component dispatch by time, ties in insertion
+    order."""
+    env = Environment()
+    fired = []
+    for delay in (300.0, 100.0, 200.0, 100.0):
+        t = env.timeout(delay)
+        t.callbacks.append(lambda ev, d=delay: fired.append((d, env.now)))
     env.run(until=1_000.0)
     assert fired == [(100.0, 100.0), (100.0, 100.0),
                      (200.0, 200.0), (300.0, 300.0)]
-    assert part.unfenced_windows > 0
+    assert env.events_dispatched == 4
 
 
-def test_unfenced_path_closes_on_cross_insert(monkeypatch):
-    """The fast path's one exit hazard: an event that seeds another
-    domain mid-window must hand control back to the fenced merge --
-    the seeded event must not be dispatched late or lost."""
-    monkeypatch.setenv("REPRO_NO_WINDOW_BATCH", "1")
-    monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
+def test_unfenced_path_closes_on_cross_insert():
+    """An event that seeds another mid-run: the seeded event must be
+    dispatched at its own time, ahead of a later one already queued,
+    and not lost."""
     env = Environment()
-    part = env.enable_partition(PLAN, use_partition=True)
     fired = []
 
     def seeder(ev):
-        cross = env.cross_timeout("host", 2_000.0)
-        cross.callbacks.append(lambda e: fired.append(("host", env.now)))
+        seeded = env.timeout(2_000.0)
+        seeded.callbacks.append(lambda e: fired.append(("seeded", env.now)))
 
-    with env.domain("nic"):
-        first = env.timeout(100.0)
-        late = env.timeout(50_000.0)
+    first = env.timeout(100.0)
+    late = env.timeout(50_000.0)
     first.callbacks.append(seeder)
-    late.callbacks.append(lambda ev: fired.append(("nic", env.now)))
+    late.callbacks.append(lambda ev: fired.append(("late", env.now)))
     env.run(until=100_000.0)
-    assert fired == [("host", 2_100.0), ("nic", 50_000.0)]
-    assert part.unfenced_windows > 0
+    assert fired == [("seeded", 2_100.0), ("late", 50_000.0)]
 
 
-# -- satellite: cancelled-entry bulk purge ----------------------------------
+def test_single_domain_store_keeps_batching():
+    """A Store hands every item to its consumer at the put's time, in
+    put order."""
+    env = Environment()
+    store = Store(env)
+    got = []
 
-def test_window_close_purges_cancelled_wheel_entries(monkeypatch):
-    """Cancelling a backlog of far wheel timers triggers the bulk
-    purge: entries leave the wheels without ever reaching a heap, and
-    the environment counts them."""
-    env, part = _batched_env(monkeypatch)
-    timers = []
-    with env.domain("nic"):
-        for i in range(_PURGE_BACKLOG + 8):
-            timers.append(env.timeout(400_000.0 + i * 977.0))
-    with env.domain("host"):
-        driver = env.timeout(50.0)
+    def producer():
+        for i in range(20):
+            yield env.timeout(500.0)
+            yield store.put(i)
+
+    def consumer():
+        while True:
+            item = yield store.get()
+            got.append((item, env.now))
+
+    env.process(producer())
+    env.process(consumer())
+    env.run(until=100_000.0)
+    assert got == [(i, 500.0 * (i + 1)) for i in range(20)]
+
+
+# -- cancelled timers in the wheel ---------------------------------------------
+
+def test_window_close_purges_cancelled_wheel_entries():
+    """Cancelling a backlog of far wheel timers: the entries leave the
+    wheel when their buckets come due, without ever being dispatched."""
+    env = Environment(use_wheel=True)
+    timers = [env.timeout(400_000.0 + i * 977.0) for i in range(72)]
+    driver = env.timeout(50.0)
 
     def cancel_all(ev):
         for t in timers:
@@ -195,80 +167,17 @@ def test_window_close_purges_cancelled_wheel_entries(monkeypatch):
 
     driver.callbacks.append(cancel_all)
     env.run(until=600_000.0)
-    assert env.cancelled_purged >= _PURGE_BACKLOG
-    assert env._cancel_backlog < _PURGE_BACKLOG
-    # None of the cancelled far timers was promoted into a heap.
+    assert env._wheel.dropped_cancelled == len(timers)
+    assert len(env._wheel) == 0
     assert env.events_dispatched == 1  # the driver only
 
 
-def test_serial_env_counts_purges_too(monkeypatch):
-    """`cancelled_purged` is an Environment counter: the serial wheel's
-    rollover drops feed it as well, so reports read one field."""
+def test_serial_env_counts_purges_too():
+    """A single cancelled far timer is dropped and counted too."""
     env = Environment(use_wheel=True)
     t = env.timeout(400_000.0)
     del t.callbacks[:]
     t.cancel()
     env.run(until=1_000_000.0)
     assert env._wheel.dropped_cancelled == 1
-
-
-# -- env-var mode resolution -------------------------------------------------
-
-@pytest.mark.parametrize("value,threaded", [
-    ("0", False), ("off", False), ("no", False), ("false", False),
-    ("1", True), ("yes", True), ("force", True),
-])
-def test_parallel_domains_mode_resolution(monkeypatch, value, threaded):
-    env, part = _batched_env(monkeypatch, parallel=value)
-    assert part.threaded is threaded
-    if value == "force":
-        assert part._concurrent  # force: threads even on a GIL build
-    elif threaded:
-        # Truthy-but-not-force: concurrent only when free-threaded.
-        gil = getattr(sys, "_is_gil_enabled", lambda: True)()
-        assert part._concurrent is (not gil)
-
-
-def test_parallel_domains_auto_matches_build(monkeypatch):
-    env, part = _batched_env(monkeypatch, parallel="auto")
-    gil = getattr(sys, "_is_gil_enabled", lambda: True)()
-    assert part.threaded is (not gil)
-    assert part._concurrent is (not gil)
-
-
-def test_forced_threaded_run_matches_serial(monkeypatch):
-    """REPRO_PARALLEL_DOMAINS=force on this (likely GIL) build: the
-    concurrent window path must still produce the serial timeline.
-
-    The log is shared across domains, so the comparison is the batched
-    contract's canonical (time-sorted) bar -- raw append order may
-    interleave windows ahead of global time inside the credit band."""
-
-    def workload(env):
-        fired = []
-        for name, base in (("host", 100.0), ("ic", 700.0), ("nic", 1300.0)):
-            with env.domain(name) if env.partition else _noop():
-                for k in range(40):
-                    t = env.timeout(base + 977.0 * k)
-                    t.callbacks.append(
-                        lambda ev, n=name: fired.append((n, env.now)))
-        env.run(until=200_000.0)
-        return fired
-
-    from contextlib import contextmanager
-
-    @contextmanager
-    def _noop():
-        yield
-
-    env, part = _batched_env(monkeypatch, parallel="force")
-    assert part.threaded and part._concurrent
-    got = workload(env)
-
-    monkeypatch.setenv("REPRO_NO_PARTITION", "1")
-    serial = Environment()
-    assert serial.partition is None
-    want = workload(serial)
-    assert sorted(got, key=lambda e: (e[1], e[0])) \
-        == sorted(want, key=lambda e: (e[1], e[0]))
-    assert part.batch_degrades == 0
+    assert env.events_dispatched == 0
