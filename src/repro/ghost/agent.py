@@ -169,7 +169,9 @@ class GhostAgent(WaveAgent):
     def _dispatch(self, touched: Set[int]):
         """Serve waiting cores first, then prestage for busy ones."""
         tel = getattr(self.env, "telemetry", None)
-        for core in sorted(touched):
+        # Most loop iterations touch no core (an empty poll); skip the
+        # sort for them.
+        for core in sorted(touched) if touched else ():
             if self._state.get(core) is not _CoreState.WAITING:
                 continue
             task = self.policy.dequeue()

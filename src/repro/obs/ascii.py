@@ -4,8 +4,7 @@ Two renderers live here so every text surface draws trends the same
 way:
 
 - :func:`render_curves` -- the latency/throughput hockey-stick chart
-  used by the examples, the benchmark harness, and ``report --history``
-  (moved here from ``repro.bench.ascii_plot``, which now re-exports it).
+  used by the examples, the benchmark harness, and ``report --history``.
 - :func:`sparkline` -- a one-line amplitude strip for metric timelines
   (``repro.obs.timeline``); gaps (``None`` samples) render as spaces.
 

@@ -15,7 +15,8 @@ from typing import Any, Deque, List, Optional, Tuple
 
 from repro.hw.dma import DmaEngine
 from repro.hw.paths import MemPath
-from repro.queues.ring import batch_links, relink_batch
+from repro.queues.ring import (RingMetrics, batch_links, lower_soonest,
+                               relink_batch, soonest_visible)
 from repro.sim import Environment, Event
 
 
@@ -35,7 +36,11 @@ class DmaQueue:
         self.entry_words = entry_words
         self.sync = sync
         self._entries: Deque[Tuple[Any, float]] = deque()
+        #: Minimum ``visible_at`` over ``_entries``; None when unknown
+        #: (see :func:`repro.queues.ring.soonest_visible`).
+        self._soonest: Optional[float] = None
         self._waiters: List[Event] = []
+        self._metrics = RingMetrics(name)
         self.produced = 0
         self.consumed = 0
 
@@ -80,6 +85,7 @@ class DmaQueue:
         if self.sync:
             cost += duration
         arrival = self.env.now + cost + (0.0 if self.sync else duration)
+        lower_soonest(self, arrival, not self._entries)
         for item in items:
             self._entries.append((item, arrival))
         self.produced += len(items)
@@ -87,7 +93,7 @@ class DmaQueue:
         if tel is not None:
             span.end_ns = span.begin_ns + cost
             relink_batch(tel, span, items)
-            tel.count("ring_ops", by=len(items), ring=self.name, op="push")
+            self._metrics.op(tel, "push").incr(len(items))
         if self.sync:
             return cost, None
         return cost, completion
@@ -120,6 +126,8 @@ class DmaQueue:
             if visible_at > now + cost:
                 break
             self._entries.popleft()
+            if visible_at == self._soonest:
+                self._soonest = None
             cost += self.consumer_path.read_words(0, self.entry_words + 1,
                                                   now + cost)
             items.append(item)
@@ -131,14 +139,13 @@ class DmaQueue:
                                 dur_ns=cost, links=batch_links(items),
                                 n=len(items))
                 relink_batch(tel, span, items)
-                tel.count("ring_ops", by=len(items), ring=self.name,
-                          op="pop")
+                self._metrics.op(tel, "pop").incr(len(items))
         return items, cost
 
     def wait_nonempty(self) -> Event:
         """Event firing when at least one entry is (or becomes) visible."""
         event = Event(self.env)
-        soonest = min((t for _, t in self._entries), default=None)
+        soonest = soonest_visible(self)
         if soonest is not None and soonest <= self.env.now:
             event.succeed()
         else:

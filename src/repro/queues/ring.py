@@ -48,6 +48,76 @@ def batch_links(items):
     return links or None
 
 
+def soonest_visible(queue) -> Optional[float]:
+    """Minimum ``visible_at`` over ``queue._entries`` (None when empty).
+
+    The queue caches the minimum in ``_soonest``: producers lower it and
+    a consume that pops the minimum clears it to None ("unknown"), so
+    the scan below runs only after such a pop, not on every poll.
+    """
+    soonest = queue._soonest
+    if soonest is None and queue._entries:
+        soonest = queue._soonest = min(t for _, t in queue._entries)
+    return soonest
+
+
+def lower_soonest(queue, visible_at: float, was_empty: bool) -> None:
+    """Fold a just-produced batch's ``visible_at`` into the cache."""
+    soonest = queue._soonest
+    if soonest is None:
+        if was_empty:
+            queue._soonest = visible_at
+    elif visible_at < soonest:
+        queue._soonest = visible_at
+
+
+class RingMetrics:
+    """A ring's ``ring_ops``/``ring_depth`` handles, bound on first use.
+
+    Each handle is looked up in the run's registry the first time the
+    ring needs it, never at construction: a pre-registered zero counter
+    would add a line to the metrics dump (and so to its digest) and a
+    series to the timelines. The handles belong to one registry; when
+    the environment's telemetry changes (a new hub attached), they are
+    looked up again in the new registry.
+    """
+
+    __slots__ = ("ring", "registry", "_ops", "_depth")
+
+    def __init__(self, ring: str):
+        self.ring = ring
+        self.registry = None
+        self._ops = {}
+        self._depth = None
+
+    def _rebind(self, registry) -> None:
+        self.registry = registry
+        self._ops = {}
+        self._depth = None
+
+    def op(self, tel, op: str):
+        """The ``ring_ops{op=...}`` counter in ``tel``'s registry."""
+        registry = tel.metrics
+        if registry is not self.registry:
+            self._rebind(registry)
+        counter = self._ops.get(op)
+        if counter is None:
+            counter = self._ops[op] = registry.counter(
+                "ring_ops", ring=self.ring, op=op)
+        return counter
+
+    def depth(self, tel):
+        """The ``ring_depth`` time-weighted value in ``tel``'s registry."""
+        registry = tel.metrics
+        if registry is not self.registry:
+            self._rebind(registry)
+        depth = self._depth
+        if depth is None:
+            depth = self._depth = registry.timeweighted(
+                "ring_depth", ring=self.ring)
+        return depth
+
+
 class FloemRing:
     """SPSC ring with per-entry valid flags and batching."""
 
@@ -67,7 +137,11 @@ class FloemRing:
         #: must clflush before reading fresh entries (section 5.3.2).
         self.coherent = coherent
         self._entries: Deque[Tuple[Any, float]] = deque()  # (item, visible_at)
+        #: Minimum ``visible_at`` over ``_entries``; None when unknown
+        #: (see :func:`soonest_visible`).
+        self._soonest: Optional[float] = None
         self._waiters: List[Event] = []
+        self._metrics = RingMetrics(name)
         self._next_slot = 0  # byte address allocator for cache modelling
         self.produced = 0
         self.consumed = 0
@@ -131,6 +205,7 @@ class FloemRing:
             for _ in range(accepted):
                 item, _ = self._entries.pop()
                 patched.append((item, visible_at))
+            lower_soonest(self, visible_at, not self._entries)
             self._entries.extend(reversed(patched))
             self.produced += accepted
             self.max_depth = max(self.max_depth, len(self._entries))
@@ -140,9 +215,8 @@ class FloemRing:
             span = tel.span("ring.produce", f"ring:{self.name}", dur_ns=cost,
                             links=batch_links(accepted_items), n=accepted)
             relink_batch(tel, span, accepted_items)
-            tel.count("ring_ops", by=accepted, ring=self.name, op="push")
-            tel.metrics.timeweighted(
-                "ring_depth", ring=self.name).set(len(self._entries))
+            self._metrics.op(tel, "push").incr(accepted)
+            self._metrics.depth(tel).set(len(self._entries))
         return cost
 
     def _alloc_slot(self) -> int:
@@ -185,7 +259,7 @@ class FloemRing:
             cost *= faults.path_cost_factor(self.consumer_path)
         tel = getattr(self.env, "telemetry", None)
         if tel is not None:
-            tel.count("ring_ops", ring=self.name, op="poll")
+            self._metrics.op(tel, "poll").incr()
         return cost
 
     def consume(self, max_batch: int = 64) -> Tuple[List[Any], float]:
@@ -203,6 +277,8 @@ class FloemRing:
             if visible_at > now + cost:
                 break
             self._entries.popleft()
+            if visible_at == self._soonest:
+                self._soonest = None
             addr = self._read_addr()
             words = self.entry_words + 1
             if not self.coherent:
@@ -220,10 +296,8 @@ class FloemRing:
                                 dur_ns=cost, links=batch_links(items),
                                 n=len(items))
                 relink_batch(tel, span, items)
-                tel.count("ring_ops", by=len(items), ring=self.name,
-                          op="pop")
-                tel.metrics.timeweighted(
-                    "ring_depth", ring=self.name).set(len(self._entries))
+                self._metrics.op(tel, "pop").incr(len(items))
+                self._metrics.depth(tel).set(len(self._entries))
         return items, cost
 
     def _read_addr(self) -> int:
@@ -239,7 +313,7 @@ class FloemRing:
         """
         event = Event(self.env)
         now = self.env.now
-        soonest = min((t for _, t in self._entries), default=None)
+        soonest = soonest_visible(self)
         if soonest is not None and soonest <= now:
             event.succeed()
         elif soonest is not None:

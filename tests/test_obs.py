@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import Placement, WaveChannel, WaveOpts
 from repro.ghost import GhostAgent, GhostKernel, GhostTask
-from repro.hw import HwParams, Machine
+from repro.hw import HwParams, Machine, PteType
 from repro.obs import (
     LoopProfiler,
     MetricsRegistry,
@@ -26,6 +26,8 @@ from repro.obs import (
     write_chrome_trace,
     write_metrics,
 )
+from repro.queues import FloemRing
+from repro.rpc.experiment import RpcScenario, run_rpc_point
 from repro.sched import ShinjukuPolicy
 from repro.sim import Environment
 
@@ -499,3 +501,64 @@ def test_registry_merge_into_empty_copies():
     # A copy, not an alias: mutating the source leaves dst alone.
     src.counter("ops").incr()
     assert dst.counter("ops").value == 4
+
+
+# -- bound ring metric handles ------------------------------------------------
+
+def _telemetry_ring(env):
+    link = Machine(env, HwParams.pcie()).interconnect
+    return FloemRing(env, "bound", link.host_path(PteType.WC),
+                     link.nic_path(PteType.WB))
+
+
+def test_produce_only_ring_registers_push_and_depth_only():
+    """Handles bind on first use: a ring that is never polled or
+    consumed adds no zero ``pop``/``poll`` counter to the dump."""
+    env = Environment()
+    run = Telemetry().attach(env)
+    ring = _telemetry_ring(env)
+    ring.produce(["a", "b"])
+    ring.produce(["c"])
+    env.run(until=100_000)
+    assert [render_key(key) for key in run.metrics._metrics] == [
+        'ring_ops{op="push",ring="bound"}', 'ring_depth{ring="bound"}']
+    assert run.metrics.counter("ring_ops", ring="bound", op="push").value == 3
+
+
+def test_ring_handles_rebind_to_a_new_hub():
+    env = Environment()
+    first = Telemetry().attach(env)
+    ring = _telemetry_ring(env)
+    ring.produce(["a", "b"])
+    env.run(until=100_000)
+    ring.consume()
+    ring.poll_cost()
+    frozen = first.metrics.dump()
+    second = Telemetry().attach(env)
+    ring.produce(["c"])
+    env.run(until=200_000)
+    ring.consume()
+    ring.poll_cost()
+    ring.poll_cost()
+    assert first.metrics.dump() == frozen
+    counter = second.metrics.counter
+    assert counter("ring_ops", ring="bound", op="push").value == 1
+    assert counter("ring_ops", ring="bound", op="pop").value == 1
+    assert counter("ring_ops", ring="bound", op="poll").value == 2
+    assert first.metrics.counter(
+        "ring_ops", ring="bound", op="poll").value == 1
+
+
+@pytest.mark.parametrize("scenario, multiqueue, digest", [
+    ("OFFLOAD_ALL", True, "542b85f1d7fbfb6a"),
+    ("ONHOST_ALL", False, "255d5bbf91628113"),
+])
+def test_rpc_point_metrics_digest_pinned(scenario, multiqueue, digest):
+    """Binding handles lazily must register the same metrics, in the
+    same order, with the same values as looking each one up per event;
+    the digests were recorded with per-event lookups."""
+    hub = Telemetry()
+    with hub:
+        run_rpc_point(RpcScenario[scenario], multiqueue, 230_000,
+                      duration_ns=2_000_000, warmup_ns=500_000, seed=3)
+    assert metrics_digest(hub) == digest

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.hw import HwParams, Interconnect, PteType, DmaEngine
 from repro.queues import FloemRing, DmaQueue, QueueType
 from repro.sim import Environment
+from repro.sim.faults import DMA_TIMEOUT, MSG_DELAY, FaultInjector, FaultPlan
 
 
 def make_mmio_ring(env, params=None, host_pte=PteType.WC,
@@ -206,6 +207,93 @@ def test_ring_conservation(items, batch):
     env.run(until=10_000_000)
     assert got == items
     assert ring.consumed == len(items)
+
+
+# -- cached soonest-visible time ---------------------------------------------
+
+#: One step of a random ring workload: produce a batch of n entries,
+#: consume up to k, wait for the ring to become non-empty, or let
+#: simulated time run for some nanoseconds.
+_RING_OPS = st.lists(st.one_of(
+    st.tuples(st.just("produce"), st.integers(1, 5)),
+    st.tuples(st.just("consume"), st.integers(1, 4)),
+    st.tuples(st.just("wait"), st.just(0)),
+    # Short advances land between a batch's visibility (~1 us) and a
+    # delayed batch's; long ones let everything become visible.
+    st.tuples(st.just("advance"),
+              st.one_of(st.integers(1, 3_000), st.integers(1, 40_000))),
+), max_size=50)
+
+
+def _check_soonest_cache(env, queue, ops):
+    """Apply ``ops`` to ``queue``, checking its ``_soonest`` cache after
+    every step and every wait's wake time against a brute-force scan."""
+    expected = {}  # wait step -> simulated time it must fire at
+    fired = {}
+    pending = []   # waits on an empty queue: the next batch wakes them
+
+    def brute_soonest():
+        return min((t for _, t in queue._entries), default=None)
+
+    for step, (op, arg) in enumerate(ops):
+        now = env.now
+        if op == "produce":
+            produced = queue.produced
+            queue.produce([step] * arg)
+            if queue.produced > produced:
+                visible_at = queue._entries[-1][1]
+                for waited in pending:
+                    expected[waited] = now + max(0.0, visible_at - now)
+                pending.clear()
+        elif op == "consume":
+            queue.consume(max_batch=arg)
+        elif op == "wait":
+            soonest = brute_soonest()
+            event = queue.wait_nonempty()
+            event.callbacks.append(
+                lambda _event, step=step: fired.setdefault(step, env.now))
+            if soonest is None:
+                pending.append(step)
+            elif soonest <= now:
+                expected[step] = now
+            else:
+                expected[step] = now + max(0.0, soonest - now)
+        else:
+            env.run(until=now + arg)
+        if queue._soonest is not None:
+            assert queue._soonest == brute_soonest(), (step, op)
+    env.run()
+    assert {step: fired.get(step) for step in expected} == expected
+    assert not any(step in fired for step in pending)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_RING_OPS, st.integers(0, 2 ** 16), st.integers(2, 12))
+def test_ring_soonest_cache_matches_brute_force(ops, seed, capacity):
+    """FloemRing under msg-delay faults: delayed batches leave entries
+    whose visibility is out of FIFO order, and a small capacity adds
+    rejected batches."""
+    env = Environment()
+    ring = make_mmio_ring(env, capacity=capacity)
+    FaultInjector(env, seed=seed, plans=[
+        FaultPlan(MSG_DELAY, probability=0.4, delay_ns=25_000.0)]).arm()
+    _check_soonest_cache(env, ring, ops)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_RING_OPS, st.integers(0, 2 ** 16), st.booleans())
+def test_dma_queue_soonest_cache_matches_brute_force(ops, seed, sync):
+    """DmaQueue: batch size sets the wire time, and dma-timeout retries
+    push some batches out, so arrivals are out of FIFO order too."""
+    env = Environment()
+    params = HwParams.pcie()
+    link = Interconnect(params)
+    queue = DmaQueue(env, "dma", DmaEngine(env, params),
+                     link.host_local_path(), link.nic_path(PteType.WB),
+                     sync=sync)
+    FaultInjector(env, seed=seed, plans=[
+        FaultPlan(DMA_TIMEOUT, probability=0.3)]).arm()
+    _check_soonest_cache(env, queue, ops)
 
 
 class TestDmaQueue:
