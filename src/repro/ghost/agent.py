@@ -27,6 +27,7 @@ from repro.core.messages import Message
 from repro.core.txn import TxnOutcome
 from repro.ghost.messages import TASK_DEAD, TASK_NEW, TASK_PREEMPT, SchedDecision
 from repro.ghost.task import GhostTask
+from repro.obs.metrics import CounterFamily
 from repro.sim import Interrupt, PollTimer
 
 #: Minimum re-check delay when a preemption deadline is already due,
@@ -68,6 +69,7 @@ class GhostAgent(WaveAgent):
         self.dispatches = 0
         self.preempts_issued = 0
         self._track = f"agent:{name}"
+        self._commits = CounterFamily("agent_commits", "kind")
         tel = getattr(channel.env, "telemetry", None)
         if tel is not None:
             self.policy.attach_telemetry(tel.metrics)
@@ -99,6 +101,11 @@ class GhostAgent(WaveAgent):
                 messages, cost = ring.consume(max_batch=64)
                 if not messages:
                     cost += ring.poll_cost()
+                    if deadline is None and self._idle_is_noop():
+                        # Nothing but this agent's own re-polls can
+                        # happen until the head shows up or another
+                        # event runs: jump to that poll.
+                        cost = ring.fast_forward_polls(cost)
                 yield env.timeout(cost)
                 tel = getattr(env, "telemetry", None)
                 batch_span = (tel.begin("agent.loop", self._track)
@@ -115,6 +122,27 @@ class GhostAgent(WaveAgent):
         except Interrupt as interrupt:
             self.killed = True
             yield from self.on_killed(interrupt.cause)
+
+    def _idle_is_noop(self) -> bool:
+        """True when, after an empty poll, the rest of the loop iteration
+        and the next one up to its poll change nothing: no preemption
+        to issue, no outcome to drain, no prestage to commit, and a
+        fault checkpoint that neither stalls, kills nor counts."""
+        if self.policy.time_slice is not None:
+            return False
+        # An empty outcome ring costs nothing to drain: its consumer
+        # path is the message ring's, which fast_forward_polls checks
+        # stays off the interconnect (no pcie-stall factor to ask for).
+        if len(self.channel.outcome_ring):
+            return False
+        faults = getattr(self.env, "faults", None)
+        if faults is not None and not faults.checkpoint_is_noop(self):
+            return False
+        if self.prestage_enabled and self.policy.runnable_count():
+            return all(self._peek(core) is not None
+                       for core, state in self._state.items()
+                       if state is _CoreState.BUSY)
+        return True
 
     # -- message handling ------------------------------------------------------
 
@@ -199,12 +227,14 @@ class GhostAgent(WaveAgent):
             yield from self.api.txns_commit([txn], send_msix=parked)
             if span is not None:
                 tel.end(span, kind="dispatch", core=core, tid=task.tid)
-                tel.count("agent_commits", kind="dispatch")
+                self._commits.get(tel, "dispatch").incr()
             self.policy.note_running(core, task, self.env.now)
             self._state[core] = _CoreState.BUSY
             self.dispatches += 1
             self.heartbeat()
-        if not self.prestage_enabled:
+        if not self.prestage_enabled or not self.policy.runnable_count():
+            # Every policy's dequeue() is a no-op on an empty run queue:
+            # skip peeking each busy core's slot for nothing.
             return
         # Restock every busy core whose slot the host has consumed (we
         # see consumption in our local DRAM via the host's commit
@@ -229,7 +259,7 @@ class GhostAgent(WaveAgent):
             yield from self.api.txns_commit([txn], send_msix=False)
             if span is not None:
                 tel.end(span, kind="prestage", core=core, tid=task.tid)
-                tel.count("agent_commits", kind="prestage")
+                self._commits.get(tel, "prestage").incr()
             self.prestages += 1
             self.heartbeat()
 
@@ -253,7 +283,7 @@ class GhostAgent(WaveAgent):
             if span is not None:
                 tel.end(span, kind="preempt", core=core,
                         tid=next_task.tid)
-                tel.count("agent_commits", kind="preempt")
+                self._commits.get(tel, "preempt").incr()
             self.policy.note_running(core, next_task, self.env.now)
             self._state[core] = _CoreState.BUSY
             self.preempts_issued += 1

@@ -399,6 +399,40 @@ class MetricsRegistry:
         return hashlib.sha256(self.dump().encode()).hexdigest()[:16]
 
 
+class CounterFamily:
+    """Handles of one counter family keyed by a single label, bound on
+    first use (Prometheus's ``labels()`` child idiom).
+
+    ``family.get(tel, value)`` is ``tel.metrics.counter(name,
+    **fixed, <label>=value)`` without rebuilding the sorted label key on
+    every event. A handle is looked up the first time a value is needed,
+    never at construction: a pre-registered zero counter would add a
+    line to the metrics dump (and so to its digest) and a series to the
+    timelines. The handles belong to one registry; when the telemetry
+    changes (a new hub attached), they are looked up again.
+    """
+
+    __slots__ = ("name", "label", "fixed", "registry", "_handles")
+
+    def __init__(self, name: str, label: str, **fixed):
+        self.name = name
+        self.label = label
+        self.fixed = fixed
+        self.registry = None
+        self._handles: Dict[str, CounterMetric] = {}
+
+    def get(self, tel, value: str) -> CounterMetric:
+        registry = tel.metrics
+        if registry is not self.registry:
+            self.registry = registry
+            self._handles = {}
+        counter = self._handles.get(value)
+        if counter is None:
+            counter = self._handles[value] = registry.counter(
+                self.name, **self.fixed, **{self.label: value})
+        return counter
+
+
 class _NullMetric:
     """Accepts every operation, records nothing."""
 

@@ -357,6 +357,10 @@ class RunTimeline:
 
     def _sample(self, boundary: float) -> None:
         run = self.run
+        if run.env is not None:
+            # Lazily credited work (fast-forwarded ring polls) counts
+            # exactly the part that happened before the boundary.
+            run.env.settle_deferred(boundary)
         self.ticks += 1
         period = self.period_ns
         pending: Dict[str, Tuple[Dict[int, int], int]] = {}

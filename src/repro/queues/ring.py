@@ -18,8 +18,11 @@ from collections import deque
 from typing import Any, Deque, List, Optional, Tuple
 
 from repro.hw.paths import MemPath
+from repro.obs.metrics import CounterFamily
 from repro.obs.spans import SpanCtx
 from repro.sim import Environment, Event
+
+_INF = float("inf")
 
 
 def relink_batch(tel, span, items) -> None:
@@ -82,40 +85,64 @@ class RingMetrics:
     looked up again in the new registry.
     """
 
-    __slots__ = ("ring", "registry", "_ops", "_depth")
+    __slots__ = ("ring", "_ops", "_depth_registry", "_depth")
 
     def __init__(self, ring: str):
         self.ring = ring
-        self.registry = None
-        self._ops = {}
-        self._depth = None
-
-    def _rebind(self, registry) -> None:
-        self.registry = registry
-        self._ops = {}
+        self._ops = CounterFamily("ring_ops", "op", ring=ring)
+        self._depth_registry = None
         self._depth = None
 
     def op(self, tel, op: str):
         """The ``ring_ops{op=...}`` counter in ``tel``'s registry."""
-        registry = tel.metrics
-        if registry is not self.registry:
-            self._rebind(registry)
-        counter = self._ops.get(op)
-        if counter is None:
-            counter = self._ops[op] = registry.counter(
-                "ring_ops", ring=self.ring, op=op)
-        return counter
+        return self._ops.get(tel, op)
 
     def depth(self, tel):
         """The ``ring_depth`` time-weighted value in ``tel``'s registry."""
         registry = tel.metrics
-        if registry is not self.registry:
-            self._rebind(registry)
-        depth = self._depth
-        if depth is None:
-            depth = self._depth = registry.timeweighted(
-                "ring_depth", ring=self.ring)
-        return depth
+        if registry is not self._depth_registry:
+            self._depth_registry = registry
+            self._depth = registry.timeweighted("ring_depth", ring=self.ring)
+        return self._depth
+
+
+class PollTrain:
+    """Empty polls skipped by :meth:`FloemRing.fast_forward_polls`, not
+    yet credited to ``ring_ops{op="poll"}``.
+
+    The polls happened at ``next_at``, ``next_at + step``, ... (``left``
+    of them), each time reached by the float addition the kernel's
+    timeout would have made. A credit registered with
+    :meth:`repro.sim.Environment.defer`: a timeline sample at boundary
+    ``b`` settles the polls before ``b`` and nothing else.
+    """
+
+    __slots__ = ("counter", "next_at", "step", "left")
+
+    def __init__(self, counter, next_at: float, step: float, left: int):
+        self.counter = counter
+        self.next_at = next_at
+        self.step = step
+        self.left = left
+
+    def settle(self, before: float) -> bool:
+        """Credit the polls strictly before ``before``; True once none
+        are left."""
+        left = self.left
+        if before == _INF:
+            n = left
+        else:
+            n = 0
+            at = self.next_at
+            step = self.step
+            while n < left and at < before:
+                n += 1
+                at += step
+            self.next_at = at
+        if n:
+            self.counter.incr(n)
+            self.left = left - n
+        return not self.left
 
 
 class FloemRing:
@@ -142,6 +169,10 @@ class FloemRing:
         self._soonest: Optional[float] = None
         self._waiters: List[Event] = []
         self._metrics = RingMetrics(name)
+        #: Polls skipped by the last fast-forward and not yet credited;
+        #: the consumer's next consume or wait credits them, and so do
+        #: timeline samples and the end of every Environment.run.
+        self._train: Optional[PollTrain] = None
         self._next_slot = 0  # byte address allocator for cache modelling
         self.produced = 0
         self.consumed = 0
@@ -269,6 +300,8 @@ class FloemRing:
         payload reads per entry (plus software-coherence invalidations
         for non-coherent cached consumers).
         """
+        if self._train is not None:
+            self._land()
         now = self.env.now
         items: List[Any] = []
         cost = 0.0
@@ -300,6 +333,60 @@ class FloemRing:
                 self._metrics.depth(tel).set(len(self._entries))
         return items, cost
 
+    def fast_forward_polls(self, cost: float) -> float:
+        """Delay to the consumer's next poll that can find anything.
+
+        Call right after an empty poll that cost ``cost``, when the
+        caller knows that the rest of its loop iteration is a no-op
+        until it polls again. Returns the delay to yield instead of
+        ``cost``: the time of the first later poll, among
+        ``now + cost``, ``now + cost + cost``, ... (the float additions
+        the kernel would make), at which the FIFO head may be visible,
+        another event may have run, or the :meth:`Environment.run` in
+        progress has stopped. The polls in between would each find the
+        head invisible and change nothing else, so they are skipped and
+        credited to ``ring_ops{op="poll"}`` (lazily, see
+        :class:`PollTrain`). Returns ``cost`` (one ordinary poll) when
+        nothing can be skipped:
+
+        - outside :meth:`Environment.run`, or when the ring is empty;
+        - when the consumer path crosses the interconnect: its cost can
+          change with time (pcie-stall windows, the host's MMIO cache);
+        - when no entry is visible: the consumer then sleeps in
+          :meth:`wait_nonempty` instead of polling;
+        - when the landing time is not exactly ``now + delay``.
+        """
+        env = self.env
+        horizon = env.horizon
+        if (horizon is None or not self._entries or cost <= 0.0
+                or self.consumer_path.crosses_interconnect):
+            return cost
+        now = env.now
+        poll_at = now + cost
+        head_at = self._entries[0][1]
+        if poll_at >= head_at or soonest_visible(self) > now:
+            return cost
+        bound = min(head_at, env.peek())
+        skipped = 0
+        while poll_at < bound and poll_at <= horizon:
+            skipped += 1
+            poll_at += cost
+        delay = poll_at - now
+        if not skipped or now + delay != poll_at:
+            return cost
+        tel = getattr(env, "telemetry", None)
+        if tel is not None:
+            self._train = PollTrain(self._metrics.op(tel, "poll"),
+                                    now + cost, cost, skipped)
+            env.defer(self._train)
+        return delay
+
+    def _land(self) -> None:
+        """Credit the skipped polls: the consumer is back, so every one
+        of them is past."""
+        train, self._train = self._train, None
+        train.settle(_INF)
+
     def _read_addr(self) -> int:
         addr = (self.consumed % self.capacity) * (self.entry_words + 1) * 8
         return addr
@@ -311,6 +398,8 @@ class FloemRing:
         a woken consumer may still find the ring raced empty and must
         re-wait.
         """
+        if self._train is not None:
+            self._land()
         event = Event(self.env)
         now = self.env.now
         soonest = soonest_visible(self)

@@ -119,8 +119,8 @@ class Environment:
 
     __slots__ = ("_now", "_queue", "_seq", "_active_process", "faults",
                  "telemetry", "_timeline", "_timeout_pool", "_profile_hook",
-                 "_wheel", "_staged", "events_scheduled",
-                 "events_dispatched", "timers_coalesced")
+                 "_wheel", "_staged", "_horizon", "_deferred",
+                 "events_scheduled", "events_dispatched", "timers_coalesced")
 
     def __init__(self, initial_time: float = 0,
                  use_wheel: Optional[bool] = None):
@@ -137,6 +137,11 @@ class Environment:
         #: heap (or dispatched inline) between callbacks. None outside
         #: the dispatch loop.
         self._staged: Optional[List[Tuple[float, int, int, Event]]] = None
+        #: Stop time of the :meth:`run` in progress; None outside it.
+        self._horizon: Optional[float] = None
+        #: Lazily credited work (see :meth:`defer`), settled by
+        #: :meth:`settle_deferred`.
+        self._deferred: List[Any] = []
         self.events_scheduled = 0
         self.events_dispatched = 0
         self.timers_coalesced = 0
@@ -336,6 +341,38 @@ class Environment:
                 best = earliest
         return best
 
+    @property
+    def horizon(self) -> Optional[float]:
+        """Stop time of the :meth:`run` in progress (+inf when it runs
+        to exhaustion or until an event), or None outside :meth:`run`.
+
+        Code that jumps its own process ahead over a stretch of idle
+        time (``FloemRing.fast_forward_polls``) must not jump past it:
+        the caller may act on the model between two runs.
+        """
+        return self._horizon
+
+    def defer(self, credit) -> None:
+        """Register lazily credited work.
+
+        ``credit.settle(before)`` must credit whatever it stands for that
+        happened strictly before simulated time ``before`` and return
+        True once nothing is left. Timeline samples settle up to their
+        boundary before reading counters, and every :meth:`run` settles
+        everything on exit, so counters read between runs are exact.
+        """
+        # Drop credits their owners settled meanwhile (settling up to
+        # -inf credits nothing and only reports whether any is left).
+        self._deferred = [pending for pending in self._deferred
+                          if not pending.settle(-_INF)]
+        self._deferred.append(credit)
+
+    def settle_deferred(self, before: float = _INF) -> None:
+        """Settle every deferred credit up to ``before`` (see :meth:`defer`)."""
+        if self._deferred:
+            self._deferred = [credit for credit in self._deferred
+                              if not credit.settle(before)]
+
     def _process_event(self, now: float, event: Event) -> None:
         """Advance the clock to ``now`` and run one event's callbacks."""
         timeline = self._timeline
@@ -388,8 +425,17 @@ class Environment:
         if resolved is None:
             # `until` is an already-succeeded event: nothing to run.
             return until._value
-        stop_at = resolved
+        outer = self._horizon
+        self._horizon = resolved
+        try:
+            return self._run_until(until, resolved)
+        finally:
+            self._horizon = outer
+            if self._deferred:
+                self.settle_deferred()
 
+    def _run_until(self, until: Any, stop_at: float) -> Any:
+        """The body of :meth:`run` once ``until`` is resolved."""
         if self._profile_hook is not None:
             # Profiled path: per-event bookkeeping lives in step().
             try:

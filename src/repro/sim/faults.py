@@ -180,6 +180,8 @@ class FaultInjector:
         self.log: List[FaultRecord] = []
         self._agents: List[Any] = []
         self._armed = False
+        #: ``fault_fires{kind}`` handles, bound on first use.
+        self._fires = None
         # Aggregate counters (also exposed per-plan via plan_fires()).
         self.messages_dropped = 0
         self.messages_duplicated = 0
@@ -268,7 +270,11 @@ class FaultInjector:
             # inbound request; anything it perturbs traces back to it).
             tel.span("fault.fire", "faults", root=True, kind=kind,
                      detail=detail)
-            tel.count("fault_fires", kind=kind)
+            if self._fires is None:
+                # Imported here: repro.obs imports the kernel package.
+                from repro.obs.metrics import CounterFamily
+                self._fires = CounterFamily("fault_fires", "kind")
+            self._fires.get(tel, kind).incr()
 
     def _each(self, kind: str, name: str):
         for state in self._states:
@@ -298,6 +304,19 @@ class FaultInjector:
                 self.env.process(self._kill_soon(agent),
                                  name=f"fault-crash-{agent.name}")
         return stall
+
+    def checkpoint_is_noop(self, agent) -> bool:
+        """True when :meth:`on_agent_checkpoint` for ``agent`` would
+        change nothing: no agent-hang or event-triggered agent-crash
+        plan targets it with fires left. (Any such plan counts the
+        checkpoint as a matching event, even when it does not fire.)"""
+        for state in self._states:
+            plan = state.plan
+            if (plan.kind == AGENT_HANG
+                    or (plan.kind == AGENT_CRASH and plan.at_ns is None)):
+                if plan.matches(agent.name) and self._fires_left(state):
+                    return False
+        return True
 
     def _kill_soon(self, agent):
         # A process cannot interrupt itself; deliver the kill from a

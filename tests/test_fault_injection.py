@@ -11,6 +11,9 @@ Every fault class gets three guarantees checked here:
    byte-identical stat snapshots.
 """
 
+from pathlib import Path
+from unittest import mock
+
 import pytest
 
 from repro.bench.faults import ChaosTiming, build_plans, run_chaos
@@ -344,3 +347,70 @@ def test_build_plans_covers_every_kind():
     assert build_plans("none", TINY) == []
     with pytest.raises(ValueError):
         build_plans("meteor-strike", TINY)
+
+
+#: The benchmark's tiny chaos timing (``perfbench.points.chaos_timing``
+#: with ``tiny=True``): 8 ms of load at 20k req/s, a 1 ms watchdog.
+PIN_TIMING = ChaosTiming(duration_ns=8_000_000.0, warmup_ns=300_000.0,
+                         fault_at_ns=1_200_000.0, rate_per_sec=20_000.0,
+                         watchdog_timeout_ns=1_000_000.0)
+
+#: ``run_chaos(plan, seed, PIN_TIMING).digest()`` for every scheduling
+#: plan at seeds 1-3, as the one-poll-at-a-time agent computes them. A
+#: change to host-side shortcuts (such as the empty-poll fast-forward)
+#: must leave every one of them as it is; a deliberate change to the
+#: simulated model updates them in the same commit.
+PINNED_DIGESTS = {
+    "none": ("09022a8487f68a3d", "ce9b2f8e37c67fbe", "5a2a84d44fdf05ac"),
+    AGENT_CRASH: ("7907702c9fa8dbfd", "e0c17a9e0953d692", "343ccfa83af30fac"),
+    AGENT_HANG: ("922f83ea41085aca", "9711e05ad3fde407", "a4a311efdbbc61fc"),
+    MSG_DROP: ("018aae978e24f139", "f9aa1a28952b0bed", "8bffc1ac021ae087"),
+    MSG_DUP: ("e9a213ca068a8f5d", "5076d1444f609fc2", "e3649db9460450bc"),
+    MSG_DELAY: ("8d0ee3ce9317d4ee", "a6786973e1f79325", "2738020cdc0fd439"),
+    PCIE_STALL: ("46472d146e3b91a8", "5f1c92d3b6c3f02b", "0fbc44cb442c9b75"),
+    MSIX_LOSS: ("5cc7df94b94d3594", "f8b84fce5e175cca", "3b99e4e8dbb49f66"),
+}
+
+
+@pytest.mark.parametrize("plan_name", sorted(PINNED_DIGESTS))
+def test_chaos_digests_pinned(plan_name):
+    digests = tuple(run_chaos(plan_name, seed=seed,
+                              timing=PIN_TIMING).digest()
+                    for seed in (1, 2, 3))
+    assert digests == PINNED_DIGESTS[plan_name]
+
+
+def _events_dispatched(plan_name: str, seed: int) -> int:
+    envs = []
+    env_init = Environment.__init__
+
+    def record(self, *args, **kwargs):
+        env_init(self, *args, **kwargs)
+        envs.append(self)
+
+    with mock.patch.object(Environment, "__init__", record):
+        run_chaos(plan_name, seed=seed, timing=PIN_TIMING)
+    [env] = envs
+    return env.events_dispatched
+
+
+def test_msg_delay_host_work_stays_near_baseline():
+    """A delayed ring head must not cost a kernel event per empty poll.
+
+    The agent re-reads a delayed head until it becomes visible; one
+    event pair per 17 ns poll made msg-delay dispatch ~14x the events
+    of the fault-free run. The empty-poll fast-forward skips such
+    runs of polls, so the count stays within 2x of the baseline.
+    """
+    baseline = _events_dispatched("none", seed=1)
+    delayed = _events_dispatched(MSG_DELAY, seed=1)
+    assert delayed <= 2 * baseline, (delayed, baseline)
+
+
+def test_msg_delay_fast_report_matches_checked_in_copy():
+    """``python -m repro chaos --seed 42 --plan msg-delay --fast`` prints
+    the checked-in report (CI diffs the CLI output against it too)."""
+    expected = (Path(__file__).parent / "golden"
+                / "chaos-msg-delay-seed42-fast.txt").read_text()
+    result = run_chaos(MSG_DELAY, seed=42, timing=ChaosTiming.fast())
+    assert result.summary() + "\n" == expected
